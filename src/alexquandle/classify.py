@@ -86,7 +86,7 @@ def _structures_weighted(n: int, conjugacy_prune: bool):
     for group in abelian_groups_of_order(n):
         auts = enumerate_automorphisms(group)
         if conjugacy_prune:
-            for cls in conjugacy_classes(auts, assume_closed=True):
+            for cls in conjugacy_classes(auts):
                 out.append((module_from_pair(group, cls[0]), len(cls)))
         else:
             out.extend((module_from_pair(group, a), 1) for a in auts)

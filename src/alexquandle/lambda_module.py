@@ -553,9 +553,9 @@ def module_from_json_dict(data) -> LambdaModule:
     """Module from {"invariant_factors": [...], "t_generator_images": [[...], ...]}."""
     try:
         factors = tuple(int(d) for d in data["invariant_factors"])
-        raw_images = list(data["t_generator_images"])
+        coords = [[int(c) for c in img] for img in data["t_generator_images"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad module JSON: {exc}") from None
     group = AbelianGroup(factors)
-    images = tuple(group.index_of([int(c) for c in img]) for img in raw_images)
+    images = tuple(group.index_of(c) for c in coords)
     return module_from_pair(group, GroupAutomorphism(group, images))

@@ -2,7 +2,9 @@
 
 Automorphism counts are checked against two independent oracles: Euler's
 totient for cyclic groups and a brute-force scan over all permutations for
-every group of order at most 8.
+every group of order at most 8. Enumerated automorphisms, built without
+re-validation, are checked against the validating constructor, and
+conjugacy classes against a direct conjugation of full element maps.
 """
 
 import itertools
@@ -262,3 +264,69 @@ def test_invariant_factors_from_element_orders_roundtrip():
 def test_invariant_factors_from_element_orders_rejects_garbage():
     with pytest.raises(ValueError):
         invariant_factors_from_element_orders([1, 2, 2])  # order 3, not abelian
+
+
+def test_trusted_enumeration_matches_validating_constructor():
+    samples = [
+        list(iter_automorphisms(g))
+        for n in range(1, 13)
+        for g in abelian_groups_of_order(n)
+    ]
+    for factors in [(2, 2, 2, 2), (2, 2, 2, 6)]:
+        samples.append(list(itertools.islice(iter_automorphisms(AbelianGroup(factors)), 2000)))
+    for auts in samples:
+        for aut in auts:
+            checked = GroupAutomorphism(aut.group, aut.generator_images)
+            assert aut.element_map == checked.element_map
+            assert aut == checked
+            assert hash(aut) == hash(checked)
+
+
+def conjugacy_classes_oracle(auts):
+    """Classes found by conjugating full element maps by every member."""
+    n = auts[0].group.order
+    by_map = {a.element_map: a for a in auts}
+    seen = set()
+    classes = []
+    for g in auts:
+        if g.element_map in seen:
+            continue
+        members = set()
+        for h in auts:
+            inv = [0] * n
+            for x, y in enumerate(h.element_map):
+                inv[y] = x
+            members.add(tuple(h(g(inv[x])) for x in range(n)))
+        seen |= members
+        classes.append(sorted((by_map[m] for m in members), key=lambda a: a.generator_images))
+    classes.sort(key=lambda cls: cls[0].generator_images)
+    return classes
+
+
+def test_conjugacy_classes_match_oracle():
+    for n in range(1, 13):
+        for g in abelian_groups_of_order(n):
+            auts = enumerate_automorphisms(g)
+            expected = conjugacy_classes_oracle(auts)
+            assert conjugacy_classes(auts) == expected, g
+            assert conjugacy_classes(auts, assume_closed=True) == expected, g
+            assert conjugacy_classes(reversed(auts)) == expected, g
+
+
+def test_conjugacy_class_equations_of_gl3_and_gl4_over_f2():
+    gl3 = conjugacy_classes(enumerate_automorphisms(AbelianGroup((2, 2, 2))))
+    assert sorted(len(c) for c in gl3) == [1, 21, 24, 24, 42, 56]
+    gl4 = conjugacy_classes(enumerate_automorphisms(AbelianGroup((2, 2, 2, 2))))
+    assert len(gl4) == 14
+    assert sum(len(c) for c in gl4) == 20160
+
+
+def test_conjugacy_classes_rejects_non_closed_nonabelian():
+    # Aut(Z2^2) is S3; the identity and two transpositions are not a subgroup
+    auts = enumerate_automorphisms(AbelianGroup((2, 2)))
+    ident = auts[0]
+    involutions = [a for a in auts[1:] if a.compose(a) == ident]
+    assert len(involutions) == 3
+    for closed in (False, True):
+        with pytest.raises(ValueError, match="not closed"):
+            conjugacy_classes([ident] + involutions[:2], assume_closed=closed)
