@@ -432,7 +432,7 @@ def _generating_set(keys, maps, index, identity) -> list[int]:
     return gens
 
 
-def conjugacy_classes(auts, *, assume_closed: bool = False) -> list[list[GroupAutomorphism]]:
+def conjugacy_classes(auts) -> list[list[GroupAutomorphism]]:
     """Partition a full automorphism group into conjugacy classes.
 
     Classes are sorted by their representative (the member with the
@@ -447,7 +447,7 @@ def conjugacy_classes(auts, *, assume_closed: bool = False) -> list[list[GroupAu
 
     Raises ValueError if the input is not closed under composition. That
     check is a by-product of building the generating set and is always
-    made; assume_closed is accepted for compatibility and changes nothing.
+    made.
     """
     auts = list(auts)
     if not auts:
