@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 
@@ -214,6 +214,61 @@ class AbelianGroup:
         return order
 
 
+def iter_embeddings(factors, candidates, shift, prune=None):
+    """Yield every injective additive map out of Z_d1 + ... + Z_dk.
+
+    ``factors`` are d1, ..., dk and ``candidates[i]`` lists the allowed
+    images of the i-th standard generator, each of order dividing its d;
+    ``shift(z)`` returns the translation x -> x + z of the target group.
+    Yields ``(images, element_map)``, depth-first in candidate order, with
+    element_map indexed like the elements of ``AbelianGroup(factors)``.
+
+    The map phi built so far is injective and its image H is
+    element_map[:span]. An image y of an order-d generator e extends phi
+    injectively exactly when c*y lies outside H for c = 1, ..., d-1: the
+    extension sends h + c*e to phi(h) + c*y, which is 0 for c != 0 only if
+    c*y = -phi(h) lies in H, and for c = 0 only if h = 0. So a candidate
+    costs at most d-1 lookups, and only an accepted one writes its cosets
+    H + c*y.
+
+    ``prune(span, element_map)``, if given, sees each accepted extension
+    (its first ``span`` entries are set) and discards it by returning false.
+    """
+    last = len(factors) - 1
+    if last < 0:
+        yield (), (0,)
+        return
+    emap = [0] * math.prod(factors)
+    images: list[int] = []
+
+    def rec(level: int, span: int):
+        head = emap[:span]
+        inside = set(head)
+        d = factors[level]
+        for y in candidates[level]:
+            shifts = []  # translations by c*y, c = 1..d-1
+            cy = y
+            for _ in range(1, d):
+                if cy in inside:
+                    break
+                step = shift(cy)
+                shifts.append(step)
+                cy = step(y)
+            else:
+                for c, step in enumerate(shifts, 1):
+                    emap[c * span:(c + 1) * span] = map(step, head)
+                if prune is not None and not prune(span * d, emap):
+                    continue
+                images.append(y)
+                if level == last:
+                    yield tuple(images), tuple(emap)
+                else:
+                    yield from rec(level + 1, span * d)
+                images.pop()
+
+    yield from rec(0, 1)
+
+
 @dataclass(frozen=True)
 class GroupAutomorphism:
     """An automorphism, stored by its images of the standard generators.
@@ -249,19 +304,11 @@ class GroupAutomorphism:
                     f"image of an order-{d} generator has order "
                     f"{g.element_order(y)}; the map is not well defined"
                 )
-        emap = [0] * g.order
-        span = 1
-        for d, y in zip(facs, images):
-            cy = 0
-            for c in range(1, d):
-                cy = g.add(cy, y)
-                base = c * span
-                for src in range(span):
-                    emap[base + src] = g.add(emap[src], cy)
-            span *= d
-        if len(set(emap)) != g.order:
+        shift = lambda z: partial(g.add, z)
+        found = next(iter_embeddings(facs, [(y,) for y in images], shift), None)
+        if found is None:
             raise ValueError("induced endomorphism is not a bijection")
-        object.__setattr__(self, "element_map", tuple(emap))
+        object.__setattr__(self, "element_map", found[1])
 
     @classmethod
     def _trusted(cls, group, generator_images, element_map) -> GroupAutomorphism:
@@ -321,12 +368,8 @@ def abelian_groups_of_order(n: int) -> list[AbelianGroup]:
 def iter_automorphisms(group: AbelianGroup):
     """Yield all automorphisms, lexicographic on generator-image indices.
 
-    Depth-first over candidate images of the generators in turn, each drawn
-    from the elements whose order divides the generator's. The images
-    chosen so far span a subgroup H; an image y of an order-d generator
-    extends the map injectively exactly when c*y lies outside H for
-    c = 1, ..., d-1, so a candidate costs at most d-1 lookups and only an
-    accepted one writes its cosets H + c*y. Every yielded map is therefore
+    The maps come from ``iter_embeddings`` with every element whose order
+    divides a generator's as that generator's candidates, so each one is
     well defined and bijective, and is built through the trusted
     constructor with the element map already in hand. The identity always
     comes first.
@@ -335,43 +378,17 @@ def iter_automorphisms(group: AbelianGroup):
     local to it (2,304 entries at order 48).
     """
     facs = group.invariant_factors
-    if not facs:
-        yield GroupAutomorphism(group, ())
-        return
     n = group.order
-    table = [tuple(group.add(x, y) for y in range(n)) for x in range(n)]
+    # translation[z] is x -> z + x, a lookup in one row of the addition table
+    translation = [
+        tuple(group.add(z, x) for x in range(n)).__getitem__ for z in range(n)
+    ]
     cand = [
         tuple(x for x in range(n) if d % group.element_order(x) == 0)
         for d in facs
     ]
-    last = len(facs) - 1
-    partial = [0] * n
-    images: list[int] = []
-
-    def rec(level: int, span: int):
-        # partial[:span] is H, the image of the span of the first `level` generators
-        head = partial[:span]
-        inside = set(head)
-        d = facs[level]
-        for y in cand[level]:
-            shifts = []  # translation rows by c*y, c = 1..d-1
-            cy = y
-            for _ in range(1, d):
-                if cy in inside:
-                    break
-                shifts.append(table[cy])
-                cy = table[cy][y]
-            else:
-                for c, row in enumerate(shifts, 1):
-                    partial[c * span:(c + 1) * span] = map(row.__getitem__, head)
-                images.append(y)
-                if level == last:
-                    yield GroupAutomorphism._trusted(group, tuple(images), tuple(partial))
-                else:
-                    yield from rec(level + 1, span * d)
-                images.pop()
-
-    yield from rec(0, 1)
+    for images, emap in iter_embeddings(facs, cand, translation.__getitem__):
+        yield GroupAutomorphism._trusted(group, images, emap)
 
 
 def enumerate_automorphisms(group: AbelianGroup) -> list[GroupAutomorphism]:

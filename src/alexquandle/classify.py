@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .abelian import (
     abelian_groups_of_order,

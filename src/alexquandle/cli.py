@@ -9,8 +9,8 @@ Module specs:
                         whitespace-separated rows
 
 Exit codes: 0 predicate true / success, 1 predicate false or axiom failure,
-2 malformed spec or usage, 3 invalid input values, 4 internal disagreement
-between deciders.
+2 malformed spec or usage, 3 invalid input values, 4 internal error,
+including disagreement between deciders.
 """
 
 from __future__ import annotations
@@ -477,6 +477,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        # exit 1 means "false", so a failure must not fall through to it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations_with_replacement, product
 
 from .abelian import (
     AbelianGroup,
     GroupAutomorphism,
     invariant_factors_from_element_orders,
+    iter_embeddings,
 )
 
 _KIND_RANK = {"linear": 0, "poly": 1, "sum": 2, "pair": 3}
@@ -201,10 +202,9 @@ def _recoordinatize(members, add, t):
     member to its abstract index. t is transported along.
     """
     members = sorted(members)
-    size = len(members)
     if members[0] != 0:
         raise ValueError("identity element 0 missing from member set")
-    if size == 1:
+    if len(members) == 1:
         return trivial_module(), {0: 0}
 
     orders = {}
@@ -217,47 +217,20 @@ def _recoordinatize(members, add, t):
     target = invariant_factors_from_element_orders(orders.values())
     desc = tuple(reversed(target))
 
-    def find_basis(span, level):
-        if level == len(desc):
-            return []
-        d = desc[level]
-        for g in members:
-            # a basis element for Z_d must have order exactly d both in the
-            # group and relative to the span built so far
-            if orders[g] != d or g in span:
-                continue
-            rel, y = 1, g
-            while y not in span:
-                y = add(y, g)
-                rel += 1
-            if rel != d:
-                continue
-            nspan = set(span)
-            y = 0
-            for _ in range(1, d):
-                y = add(y, g)
-                for h in span:
-                    nspan.add(add(h, y))
-            rest = find_basis(nspan, level + 1)
-            if rest is not None:
-                return [g] + rest
-        return None
-
-    basis_desc = find_basis({0}, 0)
-    if basis_desc is None:
+    # a basis element for Z_d has order exactly d, both in the group and
+    # relative to the span of the basis elements chosen before it
+    shift = lambda z: partial(add, z)
+    cand = [tuple(g for g in members if orders[g] == d) for d in desc]
+    found = next(iter_embeddings(desc, cand, shift), None)
+    if found is None:
         raise ValueError("member set is not closed under the given addition")
-    basis = list(reversed(basis_desc))
+    basis = list(reversed(found[0]))
 
     group = AbelianGroup(target)
-    to_abstract: dict[int, int] = {}
-    for idx in range(size):
-        elt = 0
-        for c, b in zip(group.coords(idx), basis):
-            for _ in range(c):
-                elt = add(elt, b)
-        to_abstract[elt] = idx
-    if len(to_abstract) != size or set(to_abstract) != set(members):
+    found = next(iter_embeddings(target, [(b,) for b in basis], shift), None)
+    if found is None or set(found[1]) != set(members):
         raise ValueError("member set is not closed under the given addition")
+    to_abstract = {elt: idx for idx, elt in enumerate(found[1])}
     t_images = tuple(to_abstract[t(b)] for b in basis)
     taut = GroupAutomorphism(group, t_images)
     return LambdaModule(group, taut), to_abstract
@@ -377,8 +350,8 @@ def module_certificate(module: LambdaModule) -> tuple:
 def lambda_iso(m: LambdaModule, n: LambdaModule):
     """An additive, t-commuting bijection m -> n as an index tuple, or None.
 
-    Backtracking over generator images with span-injectivity and partial
-    t-equivariance pruning; candidates must match element order and t-orbit
+    The first map of ``iter_embeddings`` into n whose partial maps commute
+    with t on their spans; candidates must match element order and t-orbit
     length. The identity is found first when m and n coincide.
     """
     if m.group.order != n.group.order:
@@ -386,8 +359,6 @@ def lambda_iso(m: LambdaModule, n: LambdaModule):
     if module_certificate(m) != module_certificate(n):
         return None
     facs = m.group.invariant_factors
-    if not facs:
-        return (0,)
     size = m.group.order
     tm, tn = m.t_action.element_map, n.t_action.element_map
     orbit_m, orbit_n = _orbit_lengths(tm), _orbit_lengths(tn)
@@ -399,49 +370,17 @@ def lambda_iso(m: LambdaModule, n: LambdaModule):
         cand.append(
             tuple(y for y in range(size) if orders_n[y] == d and orbit_n[y] == ol)
         )
-    partial = [0] * size
-    used = bytearray(size)
-    used[0] = 1
 
-    def rec(level: int, span: int):
-        if level == len(facs):
-            return tuple(partial)
-        d = facs[level]
-        for y in cand[level]:
-            if used[y]:
-                continue
-            written = []
-            ok = True
-            cy = 0
-            for c in range(1, d):
-                cy = addn(cy, y)
-                base = c * span
-                for src in range(span):
-                    tgt = addn(partial[src], cy)
-                    if used[tgt]:
-                        ok = False
-                        break
-                    used[tgt] = 1
-                    partial[base + src] = tgt
-                    written.append(tgt)
-                if not ok:
-                    break
-            if ok:
-                nspan = span * d
-                for z in range(nspan):
-                    tz = tm[z]
-                    if tz < nspan and partial[tz] != tn[partial[z]]:
-                        ok = False
-                        break
-            if ok:
-                res = rec(level + 1, span * d)
-                if res is not None:
-                    return res
-            for tgt in written:
-                used[tgt] = 0
-        return None
+    def equivariant(span, emap):
+        for z in range(span):
+            tz = tm[z]
+            if tz < span and emap[tz] != tn[emap[z]]:
+                return False
+        return True
 
-    return rec(0, 1)
+    shift = lambda z: partial(addn, z)
+    found = next(iter_embeddings(facs, cand, shift, equivariant), None)
+    return None if found is None else found[1]
 
 
 def _integer_roots(order: int):

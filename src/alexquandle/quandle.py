@@ -11,7 +11,6 @@ table bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .lambda_module import (
     LambdaModule,

@@ -276,6 +276,14 @@ def test_trusted_enumeration_matches_validating_constructor():
         samples.append(list(itertools.islice(iter_automorphisms(AbelianGroup(factors)), 2000)))
     for auts in samples:
         for aut in auts:
+            # both constructors share iter_embeddings, so also check the map
+            # against x = sum of c_i e_i going to sum of c_i y_i
+            g = aut.group
+            for x in g.elements():
+                y = 0
+                for c, img in zip(g.coords(x), aut.generator_images):
+                    y = g.add(y, g.scale(c, img))
+                assert aut.element_map[x] == y
             checked = GroupAutomorphism(aut.group, aut.generator_images)
             assert aut.element_map == checked.element_map
             assert aut == checked

@@ -129,6 +129,18 @@ def test_iso_decider_disagreement_exits_4(capsys, monkeypatch):
     assert "disagree" in err
 
 
+def test_internal_failure_exits_4_not_1(capsys, monkeypatch):
+    def deep(a, b):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "brute_iso", deep)
+    code, out, err = run(
+        capsys, ["iso", "linear:9:4", "linear:9:7", "--method", "brute"]
+    )
+    assert (code, out) == (4, "")
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
 def test_dual_and_self_check(capsys, monkeypatch):
     code, out, _ = run(capsys, ["dual", "linear:5:2", "--format", "text", "--self-check"])
     assert code == 0
