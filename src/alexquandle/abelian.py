@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import product
+from itertools import chain, product
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -205,6 +205,33 @@ class AbelianGroup:
             p *= d
         return out
 
+    def addition_table(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table of addition: ``rows[z][x] == self.add(z, x)``.
+
+        Built one factor at a time, without calling ``add``. With p the
+        order of the factors so far and rows the table of their sum,
+        adding a factor Z_d writes z = z0 + p*a and x = x0 + p*c, so
+        z + x = rows[z0][x0] + p*((a + c) mod d): row z is the d copies of
+        rows[z0] shifted by p*0, ..., p*(d-1), rotated left by a blocks.
+        Not cached; the caller owns the n*n entries.
+
+        >>> AbelianGroup((2, 2)).addition_table()[1]
+        (1, 0, 3, 2)
+        """
+        rows: list[tuple[int, ...]] = [(0,)]
+        p = 1
+        for d in self.invariant_factors:
+            grown: list = [None] * (p * d)
+            for z0, row in enumerate(rows):
+                blocks = [tuple(map((p * k).__add__, row)) for k in range(d)]
+                for a in range(d):
+                    grown[z0 + p * a] = tuple(
+                        chain.from_iterable(blocks[a:] + blocks[:a])
+                    )
+            rows = grown
+            p *= d
+        return tuple(rows)
+
     def element_order(self, x: int) -> int:
         order = 1
         for d in self.invariant_factors:
@@ -374,15 +401,13 @@ def iter_automorphisms(group: AbelianGroup):
     constructor with the element map already in hand. The identity always
     comes first.
 
-    Translations are read from an addition table built once per call and
-    local to it (2,304 entries at order 48).
+    Translations are read from ``group.addition_table()``, built once per
+    call and local to it (2,304 entries at order 48).
     """
     facs = group.invariant_factors
     n = group.order
     # translation[z] is x -> z + x, a lookup in one row of the addition table
-    translation = [
-        tuple(group.add(z, x) for x in range(n)).__getitem__ for z in range(n)
-    ]
+    translation = [row.__getitem__ for row in group.addition_table()]
     cand = [
         tuple(x for x in range(n) if d % group.element_order(x) == 0)
         for d in facs

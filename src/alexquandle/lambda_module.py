@@ -194,12 +194,15 @@ def _sum_components(m: LambdaModule):
     return [prov]
 
 
-def _recoordinatize(members, add, t):
+def _recoordinatize(members, add, t, element_order):
     """Express a finite abelian group given by (members, add) in canonical form.
 
-    members must contain 0 as the identity. Returns (module, to_abstract)
-    where module has invariant-factor coordinates and to_abstract maps each
-    member to its abstract index. t is transported along.
+    members must contain 0 as the identity. element_order(x) is the
+    additive order of a member x; callers read it off the group the
+    members live in, which is cheaper than adding x to itself. Returns
+    (module, to_abstract) where module has invariant-factor coordinates
+    and to_abstract maps each member to its abstract index. t is
+    transported along.
     """
     members = sorted(members)
     if members[0] != 0:
@@ -207,13 +210,7 @@ def _recoordinatize(members, add, t):
     if len(members) == 1:
         return trivial_module(), {0: 0}
 
-    orders = {}
-    for x in members:
-        k, y = 1, x
-        while y != 0:
-            y = add(y, x)
-            k += 1
-        orders[x] = k
+    orders = {x: element_order(x) for x in members}
     target = invariant_factors_from_element_orders(orders.values())
     desc = tuple(reversed(target))
 
@@ -244,6 +241,7 @@ def direct_sum(m1: LambdaModule, m2: LambdaModule) -> LambdaModule:
         return m1
     n1 = m1.order
     add1, add2 = m1.group.add, m2.group.add
+    o1, o2 = m1.group.element_order, m2.group.element_order
     t1, t2 = m1.t_action.element_map, m2.t_action.element_map
 
     def add(x, y):
@@ -252,7 +250,10 @@ def direct_sum(m1: LambdaModule, m2: LambdaModule) -> LambdaModule:
     def t(x):
         return t1[x % n1] + n1 * t2[x // n1]
 
-    module, _ = _recoordinatize(range(n1 * m2.order), add, t)
+    def element_order(x):
+        return math.lcm(o1(x % n1), o2(x // n1))
+
+    module, _ = _recoordinatize(range(n1 * m2.order), add, t, element_order)
     comps1, comps2 = _sum_components(m1), _sum_components(m2)
     if comps1 is None or comps2 is None:
         return module
@@ -293,7 +294,9 @@ def _image_members(module: LambdaModule, power: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _image_submodule(module: LambdaModule, power: int) -> Submodule:
     members = _image_members(module, power)
-    abstract, to_abstract = _recoordinatize(members, module.group.add, module.t)
+    # a member's order in the submodule is its order in the whole group
+    g = module.group
+    abstract, to_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
     from_abstract = [0] * len(members)
     for parent_idx, abs_idx in to_abstract.items():
         from_abstract[abs_idx] = parent_idx

@@ -11,6 +11,7 @@ table bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .lambda_module import (
     LambdaModule,
@@ -30,7 +31,7 @@ class QuandleTable:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         for row in rows:
@@ -55,13 +56,18 @@ class IsoWitness:
 
 
 def alexander_table(module: LambdaModule) -> QuandleTable:
-    """The Cayley table of x ^ y = t(x) + (1 - t)(y)."""
+    """The Cayley table of x ^ y = t(x) + (1 - t)(y).
+
+    Row x is row t(x) of the group's addition table read at the columns
+    (1 - t)(y), y = 0, ..., n-1.
+    """
     n = module.order
-    add = module.group.add
+    if n == 1:
+        return QuandleTable(((0,),))
+    table = module.group.addition_table()
     tmap = module.t_action.element_map
-    omt = [module.one_minus_t(y) for y in range(n)]
-    rows = tuple(tuple(add(tmap[x], omt[y]) for y in range(n)) for x in range(n))
-    return QuandleTable(rows)
+    pick = itemgetter(*[module.one_minus_t(y) for y in range(n)])
+    return QuandleTable(tuple(pick(table[tmap[x]]) for x in range(n)))
 
 
 def check_axioms(table: QuandleTable):
@@ -144,16 +150,20 @@ def dual(table: QuandleTable) -> QuandleTable:
 
 
 def is_quandle_iso(t1: QuandleTable, t2: QuandleTable, mapping) -> bool:
-    """Does the bijection mapping carry t1 onto t2?"""
+    """Does the bijection mapping carry t1 onto t2?
+
+    Checks mapping(x ^ y) == mapping(x) ^ mapping(y) for every pair, one
+    whole row x at a time.
+    """
     n = t1.order
     if t2.order != n or len(mapping) != n or sorted(mapping) != list(range(n)):
         return False
     r1, r2 = t1.rows, t2.rows
+    # at n = 1 both getters return scalars, which compare just as well
+    relabel = itemgetter(*mapping)
     for x in range(n):
-        mx = mapping[x]
-        for y in range(n):
-            if mapping[r1[x][y]] != r2[mx][mapping[y]]:
-                return False
+        if itemgetter(*r1[x])(mapping) != relabel(r2[mapping[x]]):
+            return False
     return True
 
 
@@ -233,23 +243,31 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
                     return False
         return True
 
-    def rec(i):
-        if i == n:
-            return True
+    # depth-first with an explicit stack instead of recursion: entry i holds
+    # the candidate iterator of depth i and the elements assigned before it
+    stack = [(iter(cand[order[0]]), [])]
+    while stack:
+        i = len(stack) - 1
+        candidates, assigned = stack[i]
         x = order[i]
-        assigned = order[:i]
-        for u in cand[x]:
+        if mapping[x] != -1:  # back at depth i: undo its last assignment
+            used[mapping[x]] = False
+            mapping[x] = -1
+        for u in candidates:
             if used[u]:
                 continue
             mapping[x] = u
             used[u] = True
-            if consistent(assigned, x) and rec(i + 1):
-                return True
+            if consistent(assigned, x):
+                break
             mapping[x] = -1
             used[u] = False
-        return False
-
-    if rec(0):
+        else:
+            stack.pop()  # depth i exhausted
+            continue
+        if i + 1 < n:
+            stack.append((iter(cand[order[i + 1]]), order[: i + 1]))
+            continue
         witness = tuple(mapping)
         if not is_quandle_iso(t1, t2, witness):
             raise RuntimeError("internal: search returned a non-isomorphism")

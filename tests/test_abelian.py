@@ -126,6 +126,17 @@ def test_arithmetic_consistency():
             assert g.add(x, y) == g.index_of(summed)
 
 
+def test_addition_table_matches_add():
+    for n in range(1, 33):
+        for g in abelian_groups_of_order(n):
+            rows = g.addition_table()
+            assert len(rows) == n
+            for z in g.elements():
+                assert len(rows[z]) == n
+                for x in g.elements():
+                    assert rows[z][x] == g.add(z, x)
+
+
 def test_element_order_brute():
     for factors in [(8,), (2, 4), (3, 3), (2, 6)]:
         g = AbelianGroup(factors)

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from alexquandle import lambda_module
 from alexquandle.abelian import AbelianGroup, GroupAutomorphism, enumerate_automorphisms
 from alexquandle.lambda_module import (
     LambdaModule,
@@ -201,6 +202,65 @@ def test_submodule_coordinate_maps_invert():
     inner = sub.as_module
     for parent_idx in sub.member_indices:
         assert inner.t(sub.to_abstract[parent_idx]) == sub.to_abstract[m.t(parent_idx)]
+
+
+def assert_module_isomorphism(members, add, t, abstract, to_abstract):
+    """to_abstract is an additive bijection from members onto abstract that
+    commutes with t; which index each member gets is not checked."""
+    assert sorted(to_abstract) == sorted(members)
+    assert sorted(to_abstract.values()) == list(range(abstract.order))
+    abstract_add = abstract.group.add
+    for x in members:
+        ax = to_abstract[x]
+        assert to_abstract[t(x)] == abstract.t(ax)
+        for y in members:
+            assert to_abstract[add(x, y)] == abstract_add(ax, to_abstract[y])
+
+
+def test_recoordinatized_images_are_module_isomorphisms():
+    for n in range(1, 13):
+        for m in enumerate_structures(n):
+            for power in (1, 2):
+                sub = image_one_minus_t(m, power)
+                assert_module_isomorphism(
+                    sub.member_indices, m.group.add, m.t, sub.as_module, sub.to_abstract
+                )
+                for x in sub.member_indices:
+                    assert sub.from_abstract[sub.to_abstract[x]] == x
+
+
+def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
+    calls = []
+    recoordinatize = lambda_module._recoordinatize
+
+    def recording(members, add, t, element_order):
+        out = recoordinatize(members, add, t, element_order)
+        calls.append((members, add, t, element_order, out))
+        return out
+
+    monkeypatch.setattr(lambda_module, "_recoordinatize", recording)
+    atoms = [
+        linear_module(n, a) for n in range(2, 7) for a in range(1, n) if math.gcd(n, a) == 1
+    ]
+    atoms += [
+        module_from_polynomial(Polynomial(2, (1, 1, 1))),
+        module_from_polynomial(Polynomial(2, (1, 1, 0, 1))),
+        module_from_polynomial(Polynomial(3, (2, 0, 1))),
+    ]
+    for m1, m2 in itertools.combinations_with_replacement(atoms, 2):
+        if m1.order * m2.order > 72:
+            continue
+        calls.clear()
+        s = direct_sum(m1, m2)
+        [(members, add, t, element_order, (abstract, to_abstract))] = calls
+        assert abstract == s
+        for x in members:  # the orders handed in are the additive orders
+            k, y = 1, x
+            while y != 0:
+                y = add(y, x)
+                k += 1
+            assert element_order(x) == k
+        assert_module_isomorphism(members, add, t, abstract, to_abstract)
 
 
 def test_certificate_is_isomorphism_invariant():

@@ -1,11 +1,13 @@
 """Tests for Cayley tables: axioms, orbits, duals, and the two deciders."""
 
 import random
+import sys
 
 import pytest
 
 from alexquandle.lambda_module import (
     Polynomial,
+    direct_sum,
     image_one_minus_t,
     lambda_iso,
     linear_module,
@@ -31,6 +33,39 @@ from alexquandle.quandle import (
 )
 
 
+def cell_oracle(m):
+    """x ^ y = t(x) + (1 - t)(y), one cell at a time in coordinates."""
+    g = m.group
+    facs = g.invariant_factors
+
+    def combine(a, b, sign):
+        ca, cb = g.coords(a), g.coords(b)
+        return g.index_of([(u + sign * v) % d for u, v, d in zip(ca, cb, facs)])
+
+    n = m.order
+    omt = [combine(y, m.t(y), -1) for y in range(n)]
+    return tuple(tuple(combine(m.t(x), omt[y], 1) for y in range(n)) for x in range(n))
+
+
+def relabel(tab, sigma):
+    """The table carried along the bijection sigma."""
+    n = tab.order
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[sigma[x]][sigma[y]] = sigma[tab.rows[x][y]]
+    return QuandleTable(tuple(map(tuple, rows)))
+
+
+def is_iso_oracle(t1, t2, mapping):
+    n = t1.order
+    return sorted(mapping) == list(range(n)) and all(
+        mapping[t1.rows[x][y]] == t2.rows[mapping[x]][mapping[y]]
+        for x in range(n)
+        for y in range(n)
+    )
+
+
 def test_table_shape_validation():
     with pytest.raises(ValueError):
         QuandleTable(((0, 1), (1,)))
@@ -42,6 +77,19 @@ def test_generated_tables_satisfy_axioms():
     for n in range(1, 11):
         for m in enumerate_structures(n):
             assert check_axioms(alexander_table(m)) is None
+
+
+def test_alexander_table_matches_cell_oracle():
+    modules = [m for n in range(1, 13) for m in enumerate_structures(n)]
+    modules += [
+        linear_module(64, 3),
+        linear_module(256, 5),
+        module_from_polynomial(Polynomial(4, (1, 1, 1))),
+        module_from_polynomial(Polynomial(2, (1, 1, 0, 0, 0, 0, 0, 1))),
+        direct_sum(linear_module(9, 2), linear_module(16, 7)),
+    ]
+    for m in modules:
+        assert alexander_table(m).rows == cell_oracle(m)
 
 
 def test_axiom_violations_reported_in_order():
@@ -90,28 +138,62 @@ def test_is_quandle_iso_checks_the_identity():
     assert is_quandle_iso(tab, tab, tuple(range(5)))
     assert not is_quandle_iso(tab, tab, (1, 0, 2, 3, 4))
     assert not is_quandle_iso(tab, tab, (0, 0, 2, 3, 4))  # not a bijection
+    for x in range(5):  # every cell is read
+        for y in range(5):
+            rows = [list(r) for r in tab.rows]
+            rows[x][y] = (rows[x][y] + 1) % 5
+            altered = QuandleTable(tuple(map(tuple, rows)))
+            assert not is_quandle_iso(tab, altered, tuple(range(5)))
+    one = QuandleTable(((0,),))
+    assert is_quandle_iso(one, one, (0,))
+    assert not is_quandle_iso(one, one, (1,))
+    assert not is_quandle_iso(one, tab, (0,))
+
+
+def test_is_quandle_iso_matches_oracle_on_swapped_witnesses():
+    m, n = linear_module(9, 4), linear_module(9, 7)
+    t1, t2 = alexander_table(m), alexander_table(n)
+    w = construct_quandle_iso(m, n).map
+    assert is_quandle_iso(t1, t2, w)
+    rejected = 0
+    for i in range(9):
+        for j in range(i + 1, 9):
+            swapped = list(w)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            verdict = is_quandle_iso(t1, t2, tuple(swapped))
+            assert verdict == is_iso_oracle(t1, t2, swapped)
+            rejected += not verdict
+    assert rejected > 0
+    assert not is_quandle_iso(t1, t2, w[:8])
 
 
 def test_brute_iso_recovers_relabeling():
     rng = random.Random(7)
     for m in [linear_module(7, 3), module_from_polynomial(Polynomial(2, (1, 1, 1)))]:
         tab = alexander_table(m)
-        n = tab.order
-        sigma = list(range(n))
+        sigma = list(range(tab.order))
         rng.shuffle(sigma)
-        inv = [0] * n
-        for x, y in enumerate(sigma):
-            inv[y] = x
-        shuffled = QuandleTable(
-            tuple(
-                tuple(sigma[tab.rows[inv[x]][inv[y]]] for y in range(n))
-                for x in range(n)
-            )
-        )
+        shuffled = relabel(tab, sigma)
         w = brute_iso(tab, shuffled)
         assert w is not None
         assert w.method == "brute-force"
         assert is_quandle_iso(tab, shuffled, w.map)
+
+
+def test_brute_iso_needs_no_recursion_depth():
+    # a search of depth 256 under a limit of 150 frames
+    tab = alexander_table(linear_module(256, 3))
+    sigma = list(range(256))
+    random.Random(0).shuffle(sigma)
+    shuffled = relabel(tab, sigma)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        w = brute_iso(tab, shuffled)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w is not None
+    assert is_iso_oracle(tab, shuffled, w.map)
 
 
 def test_brute_iso_rejects_structurally_different_tables():
