@@ -80,6 +80,16 @@ class ClassificationReport:
         }
 
 
+@dataclass(eq=False)
+class _Class:
+    """A class being built: its Im(1-t) module, and the smallest member
+    provenance until a named candidate replaces it."""
+
+    image: LambdaModule
+    representative: tuple
+    weight: int = 0
+
+
 def _structures_weighted(n: int, conjugacy_prune: bool):
     out = []
     for group in abelian_groups_of_order(n):
@@ -125,44 +135,43 @@ def classify_order(
             stacklevel=2,
         )
 
-    classes: list[dict] = []
-    by_certificate: dict[tuple, list[int]] = {}
-    for module, weight in _structures_weighted(n, conjugacy_prune):
-        sub = image_one_minus_t(module)
-        cert = module_certificate(sub.as_module)
-        placed = False
-        for pos in by_certificate.get(cert, ()):
-            if lambda_iso(classes[pos]["abs"], sub.as_module) is not None:
-                classes[pos]["weight"] += weight
-                classes[pos]["members"].append(module)
-                placed = True
-                break
-        if not placed:
-            by_certificate.setdefault(cert, []).append(len(classes))
-            classes.append(
-                {
-                    "abs": sub.as_module,
-                    "weight": weight,
-                    "members": [module],
-                    "connected": len(sub.member_indices) == n,
-                }
-            )
+    # the class index: pairwise non-isomorphic Im(1-t) modules bucketed by
+    # certificate; find returns the class isomorphic to an image, or None
+    classes: list[_Class] = []
+    buckets: dict[tuple, list[_Class]] = {}
 
-    named = named_candidates(n)
-    records = []
-    for cls in classes:
-        desc = None
-        for cand_desc, cand_mod in named:
-            cand_sub = image_one_minus_t(cand_mod)
-            if lambda_iso(cand_sub.as_module, cls["abs"]) is not None:
-                desc = cand_desc
-                break
-        if desc is None:
-            desc = min(
-                (m.provenance for m in cls["members"] if m.provenance is not None),
-                key=descriptor_key,
-            )
-        records.append(QuandleClass(desc, cls["connected"], cls["weight"]))
+    def find(image: LambdaModule):
+        for cls in buckets.get(module_certificate(image), ()):
+            if lambda_iso(cls.image, image) is not None:
+                return cls
+        return None
+
+    for module, weight in _structures_weighted(n, conjugacy_prune):
+        image = image_one_minus_t(module).as_module
+        cls = find(image)
+        if cls is None:
+            cls = _Class(image, module.provenance)
+            buckets.setdefault(module_certificate(image), []).append(cls)
+            classes.append(cls)
+        elif descriptor_key(module.provenance) < descriptor_key(cls.representative):
+            cls.representative = module.provenance
+        cls.weight += weight
+
+    # every candidate's image lies in exactly one class, so walking them in
+    # descriptor order names each class by its first isomorphic candidate
+    unnamed = set(classes)
+    for desc, cand in named_candidates(n):
+        if not unnamed:
+            break
+        cls = find(image_one_minus_t(cand).as_module)
+        if cls in unnamed:
+            unnamed.remove(cls)
+            cls.representative = desc
+
+    # the quandle is connected exactly when Im(1-t) is the whole module
+    records = [
+        QuandleClass(c.representative, c.image.order == n, c.weight) for c in classes
+    ]
     records.sort(key=lambda r: descriptor_key(r.representative))
     return ClassificationReport(n, tuple(records))
 

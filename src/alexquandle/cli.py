@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 from .abelian import AbelianGroup
 from .classify import (
@@ -470,7 +471,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # _check_guard admitted the order; the default-bound warning is noise
+            warnings.filterwarnings("ignore", "classifying order", RuntimeWarning)
+            return args.func(args)
     except SpecParseError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import combinations_with_replacement, product
 
 from .abelian import (
@@ -118,14 +118,9 @@ class LambdaModule:
         return self.t_action.element_map[x]
 
     @cached_property
-    def _t_inverse_map(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for x, y in enumerate(self.t_action.element_map):
-            inv[y] = x
-        return tuple(inv)
-
-    def t_inv(self, x: int) -> int:
-        return self._t_inverse_map[x]
+    def _memo(self) -> dict:
+        """Im(1-t) submodules and the certificate, kept as long as the module."""
+        return {}
 
     def one_minus_t(self, x: int) -> int:
         return self.group.sub(x, self.t(x))
@@ -283,26 +278,6 @@ class Submodule:
     from_abstract: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _image_members(module: LambdaModule, power: int) -> tuple[int, ...]:
-    xs = set(range(module.order))
-    for _ in range(power):
-        xs = {module.one_minus_t(x) for x in xs}
-    return tuple(sorted(xs))
-
-
-@lru_cache(maxsize=None)
-def _image_submodule(module: LambdaModule, power: int) -> Submodule:
-    members = _image_members(module, power)
-    # a member's order in the submodule is its order in the whole group
-    g = module.group
-    abstract, to_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
-    from_abstract = [0] * len(members)
-    for parent_idx, abs_idx in to_abstract.items():
-        from_abstract[abs_idx] = parent_idx
-    return Submodule(module, members, abstract, to_abstract, tuple(from_abstract))
-
-
 def image_one_minus_t(module: LambdaModule, power: int = 1) -> Submodule:
     """The submodule (1-t)^power M, with a canonical abstract copy.
 
@@ -310,7 +285,21 @@ def image_one_minus_t(module: LambdaModule, power: int = 1) -> Submodule:
     """
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
-    return _image_submodule(module, power)
+    key = ("image", power)
+    memo = module._memo
+    if key not in memo:
+        xs = range(module.order)
+        for _ in range(power):
+            xs = {module.one_minus_t(x) for x in xs}
+        members = tuple(sorted(xs))
+        # a member's order in the submodule is its order in the whole group
+        g = module.group
+        abstract, to_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
+        from_abstract = [0] * len(members)
+        for parent_idx, abs_idx in to_abstract.items():
+            from_abstract[abs_idx] = parent_idx
+        memo[key] = Submodule(module, members, abstract, to_abstract, tuple(from_abstract))
+    return memo[key]
 
 
 def _orbit_lengths(perm) -> list[int]:
@@ -332,22 +321,24 @@ def _orbit_lengths(perm) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def module_certificate(module: LambdaModule) -> tuple:
     """Cheap isomorphism invariants used to prescreen lambda_iso.
 
     Equal certificates are necessary (not sufficient) for isomorphism.
     """
-    im1 = _image_members(module, 1)
-    im2 = _image_members(module, 2)
-    g = module.group
-    im1_factors = invariant_factors_from_element_orders(
-        [g.element_order(x) for x in im1]
-    )
-    tmap = module.t_action.element_map
-    fixed = sum(1 for x, y in enumerate(tmap) if x == y)
-    orbit_sizes = tuple(sorted(_orbit_lengths(tmap)))
-    return (g.invariant_factors, im1_factors, len(im2), fixed, orbit_sizes)
+    if "certificate" not in module._memo:
+        im1 = {module.one_minus_t(x) for x in range(module.order)}
+        im2 = {module.one_minus_t(x) for x in im1}
+        g = module.group
+        im1_factors = invariant_factors_from_element_orders(
+            [g.element_order(x) for x in im1]
+        )
+        tmap = module.t_action.element_map
+        fixed = sum(1 for x, y in enumerate(tmap) if x == y)
+        orbit_sizes = tuple(sorted(_orbit_lengths(tmap)))
+        cert = (g.invariant_factors, im1_factors, len(im2), fixed, orbit_sizes)
+        module._memo["certificate"] = cert
+    return module._memo["certificate"]
 
 
 def lambda_iso(m: LambdaModule, n: LambdaModule):
@@ -398,7 +389,6 @@ def _integer_roots(order: int):
     return out
 
 
-@lru_cache(maxsize=None)
 def _atomic_candidates(order: int):
     """Named non-sum modules of the given order: linear and companion forms."""
     out = []
@@ -431,27 +421,27 @@ def _factorizations(n: int):
     return results
 
 
-@lru_cache(maxsize=None)
 def named_candidates(order: int):
     """All canonically named modules of one order, sorted by descriptor.
 
     Covers linear forms, polynomial quotients whose base power matches the
     order, and direct sums of those; used to put a readable name on
-    classification output.
+    classification output. Every call builds its modules afresh.
     """
     if order < 1:
         raise ValueError(f"no modules of order {order}")
     if order == 1:
         return ((("sum", ()), trivial_module()),)
-    out = {}
-    for desc, mod in _atomic_candidates(order):
-        out.setdefault(desc, mod)
-    for parts in _factorizations(order):
+    factorizations = _factorizations(order)
+    # the atomic modules of each part size, shared by every sum that uses it
+    atomic = {p: _atomic_candidates(p) for p in {order}.union(*factorizations)}
+    out = dict(atomic[order])
+    for parts in factorizations:
         runs: dict[int, int] = {}
         for part in parts:
             runs[part] = runs.get(part, 0) + 1
         per_run = [
-            combinations_with_replacement(_atomic_candidates(part), mult)
+            combinations_with_replacement(atomic[part], mult)
             for part, mult in sorted(runs.items())
         ]
         for chosen in product(*per_run):
@@ -467,10 +457,8 @@ def named_candidates(order: int):
 def identify_as_quotient(module: LambdaModule):
     """The smallest named descriptor isomorphic to the module, or None.
 
-    The trivial module names itself as the empty sum.
+    The trivial module is named by the empty sum, its only candidate.
     """
-    if module.order == 1:
-        return ("sum", ())
     for desc, cand in named_candidates(module.order):
         if lambda_iso(module, cand) is not None:
             return desc

@@ -31,12 +31,10 @@ class QuandleTable:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("table is not square")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("table is not square")
 
     @property
     def order(self) -> int:

