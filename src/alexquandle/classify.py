@@ -14,7 +14,6 @@ module keep their raw (group, automorphism) descriptor.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .abelian import (
@@ -38,7 +37,7 @@ from .lambda_module import (
     named_candidates,
 )
 
-DEFAULT_MAX_ORDER = 15
+DEFAULT_MAX_ORDER = 15  # the CLI's size guard when QUANDLE_MAX_ORDER is unset
 
 
 @dataclass(frozen=True)
@@ -112,28 +111,10 @@ def enumerate_structures(n: int, conjugacy_prune: bool = False) -> list[LambdaMo
     return [m for m, _ in _structures_weighted(n, conjugacy_prune)]
 
 
-def classify_order(
-    n: int, *, conjugacy_prune: bool = True, allow_large: bool = False
-) -> ClassificationReport:
-    """All Alexander quandles of order n up to isomorphism.
-
-    Orders above DEFAULT_MAX_ORDER are refused unless allow_large is set
-    (they still work, with a runtime warning; cost grows quickly).
-    """
+def classify_order(n: int, *, conjugacy_prune: bool = True) -> ClassificationReport:
+    """All Alexander quandles of order n up to isomorphism."""
     if n < 1:
         raise ValueError(f"no quandles of order {n}")
-    if n > DEFAULT_MAX_ORDER:
-        if not allow_large:
-            raise ValueError(
-                f"order {n} exceeds the default bound {DEFAULT_MAX_ORDER}; "
-                "pass allow_large=True to override"
-            )
-        warnings.warn(
-            f"classifying order {n} above the default bound {DEFAULT_MAX_ORDER}; "
-            "this may take a while",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     # the class index: pairwise non-isomorphic Im(1-t) modules bucketed by
     # certificate; find returns the class isomorphic to an image, or None
@@ -176,14 +157,10 @@ def classify_order(
     return ClassificationReport(n, tuple(records))
 
 
-def count_table(max_n: int, **kwargs) -> list[tuple[int, int, int]]:
+def count_table(max_n: int) -> list[tuple[int, int, int]]:
     """(order, distinct, connected) rows for orders 2..max_n."""
     return [
-        (
-            n,
-            (rep := classify_order(n, **kwargs)).distinct_count,
-            rep.connected_count,
-        )
+        (n, (rep := classify_order(n)).distinct_count, rep.connected_count)
         for n in range(2, max_n + 1)
     ]
 
@@ -242,8 +219,7 @@ def predicted_counts(n: int):
         return None
     distinct, connected = 1, 1
     for p, e in fact.items():
-        q = p ** e
-        report = classify_order(q, allow_large=q > DEFAULT_MAX_ORDER)
+        report = classify_order(p ** e)
         distinct *= report.distinct_count
         connected *= report.connected_count
     return (distinct, connected)

@@ -20,9 +20,7 @@ import csv
 import json
 import os
 import sys
-import warnings
 
-from .abelian import AbelianGroup
 from .classify import (
     DEFAULT_MAX_ORDER,
     classify_order,
@@ -48,7 +46,6 @@ from .quandle import (
     check_axioms,
     construct_quandle_iso,
     dual,
-    is_connected,
     orbits,
     table_from_json_dict,
     table_from_text,
@@ -305,7 +302,7 @@ def _check_guard(n: int) -> None:
 
 def _cmd_classify(args) -> int:
     _check_guard(args.order)
-    report = classify_order(args.order, allow_large=args.order > DEFAULT_MAX_ORDER)
+    report = classify_order(args.order)
     classes = [c for c in report.classes if c.connected or not args.connected_only]
     if args.format == "json":
         data = report.to_json_dict()
@@ -361,7 +358,7 @@ def _cmd_table1(args) -> int:
 
 def _cmd_table2(args) -> int:
     _check_guard(args.max)
-    rows = count_table(args.max, allow_large=args.max > DEFAULT_MAX_ORDER)
+    rows = count_table(args.max)
     if args.format == "json":
         print(
             json.dumps(
@@ -471,10 +468,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            # _check_guard admitted the order; the default-bound warning is noise
-            warnings.filterwarnings("ignore", "classifying order", RuntimeWarning)
-            return args.func(args)
+        return args.func(args)
     except SpecParseError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

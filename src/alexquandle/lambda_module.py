@@ -195,15 +195,15 @@ def _recoordinatize(members, add, t, element_order):
     members must contain 0 as the identity. element_order(x) is the
     additive order of a member x; callers read it off the group the
     members live in, which is cheaper than adding x to itself. Returns
-    (module, to_abstract) where module has invariant-factor coordinates
-    and to_abstract maps each member to its abstract index. t is
+    (module, from_abstract) where module has invariant-factor coordinates
+    and from_abstract[i] is the member with abstract index i. t is
     transported along.
     """
     members = sorted(members)
     if members[0] != 0:
         raise ValueError("identity element 0 missing from member set")
     if len(members) == 1:
-        return trivial_module(), {0: 0}
+        return trivial_module(), (0,)
 
     orders = {x: element_order(x) for x in members}
     target = invariant_factors_from_element_orders(orders.values())
@@ -222,10 +222,10 @@ def _recoordinatize(members, add, t, element_order):
     found = next(iter_embeddings(target, [(b,) for b in basis], shift), None)
     if found is None or set(found[1]) != set(members):
         raise ValueError("member set is not closed under the given addition")
-    to_abstract = {elt: idx for idx, elt in enumerate(found[1])}
-    t_images = tuple(to_abstract[t(b)] for b in basis)
+    from_abstract = found[1]
+    t_images = tuple(from_abstract.index(t(b)) for b in basis)
     taut = GroupAutomorphism(group, t_images)
-    return LambdaModule(group, taut), to_abstract
+    return LambdaModule(group, taut), from_abstract
 
 
 def direct_sum(m1: LambdaModule, m2: LambdaModule) -> LambdaModule:
@@ -267,14 +267,13 @@ def direct_sum_all(modules) -> LambdaModule:
 class Submodule:
     """Im(1-t)^k inside a parent module, with its abstract normal form.
 
-    to_abstract / from_abstract translate between parent element indices
-    and indices of as_module.
+    from_abstract[i] is the parent element with index i in as_module; it
+    is an additive bijection onto member_indices that commutes with t.
     """
 
     parent: LambdaModule
     member_indices: tuple[int, ...]
     as_module: LambdaModule
-    to_abstract: dict[int, int]
     from_abstract: tuple[int, ...]
 
 
@@ -294,11 +293,8 @@ def image_one_minus_t(module: LambdaModule, power: int = 1) -> Submodule:
         members = tuple(sorted(xs))
         # a member's order in the submodule is its order in the whole group
         g = module.group
-        abstract, to_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
-        from_abstract = [0] * len(members)
-        for parent_idx, abs_idx in to_abstract.items():
-            from_abstract[abs_idx] = parent_idx
-        memo[key] = Submodule(module, members, abstract, to_abstract, tuple(from_abstract))
+        abstract, from_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
+        memo[key] = Submodule(module, members, abstract, from_abstract)
     return memo[key]
 
 

@@ -89,12 +89,10 @@ def check_axioms(table: QuandleTable):
         seen = {}
         for x in range(n):
             v = rows[x][y]
-            if v in seen:
-                cand = (seen[v], x, y)
-                if worst is None or cand < worst:
-                    worst = cand
-                break
-            seen[v] = x
+            if v not in seen:
+                seen[v] = x
+            elif worst is None or (seen[v], x, y) < worst:
+                worst = (seen[v], x, y)
     if worst is not None:
         return ("i", worst)
     for a in range(n):
@@ -299,14 +297,34 @@ def _validate_submodule_witness(a: LambdaModule, b: LambdaModule, h) -> None:
                 raise ValueError("h is not additive")
 
 
+def _coset_of(group, members):
+    """coset_of[x] is the smallest element of the coset x + members."""
+    coset_of = [-1] * group.order
+    for x in range(group.order):
+        if coset_of[x] < 0:  # no smaller element of x's coset came first
+            for w in members:
+                coset_of[group.add(x, w)] = x
+    return coset_of
+
+
 def construct_quandle_iso(m: LambdaModule, n: LambdaModule, h=None) -> IsoWitness:
     """Build an explicit table bijection from a submodule isomorphism.
 
     h maps indices of image_one_minus_t(m).as_module to indices of
     image_one_minus_t(n).as_module; when omitted one is searched for.
-    Coset representatives are matched through the induced map on
-    Im(1-t)/Im(1-t)^2 and corrected by elements of (1-t)Im(1-t) so that
-    (1-t) k(alpha) = h((1-t) alpha); the result is verified before return.
+    Writing I = Im(1-t), the map is f(alpha + w) = k(alpha) + h(w) for
+    each coset representative alpha of M/I and w in I, where k(alpha) is
+    any beta with (1-t)beta = h((1-t)alpha) whose coset is not yet taken.
+    Representatives are served in ascending order, each with the first
+    such beta in ascending order; the result is verified before return.
+
+    A free beta always exists. The beta with (1-t)beta = u form
+    beta0 + ker(1-t), and they meet every coset of N/I whose (1-t)-image
+    lies in u + I^2: one block of the surjection N/I -> I/I^2, the same
+    for every u in one class of I/I^2. The alpha sent into that class
+    form one fibre of M/I -> I/I^2 (h carries I^2 onto I^2), with
+    |M/I| |I^2| / |I| elements, which is exactly the block's size; no
+    other alpha takes a coset of that block.
     """
     if m.order != n.order:
         raise ValueError("modules have different orders")
@@ -319,76 +337,31 @@ def construct_quandle_iso(m: LambdaModule, n: LambdaModule, h=None) -> IsoWitnes
     else:
         h = tuple(h)
         _validate_submodule_witness(sub_m.as_module, sub_n.as_module, h)
-    hmap = {
-        x: sub_n.from_abstract[h[sub_m.to_abstract[x]]]
-        for x in sub_m.member_indices
-    }
+    hmap = dict(zip(sub_m.from_abstract, (sub_n.from_abstract[j] for j in h)))
 
-    gm, gn = m.group, n.group
-    size = m.order
-
-    def coset_reps(group, members, total):
-        reps, covered = [], [False] * total
-        for x in range(total):
-            if not covered[x]:
-                reps.append(x)
-                for w in members:
-                    covered[group.add(x, w)] = True
-        return reps
-
-    reps_m = coset_reps(gm, sub_m.member_indices, size)
-    reps_n = coset_reps(gn, sub_n.member_indices, size)
-
-    im2_n = tuple(n.one_minus_t(x) for x in sub_n.member_indices)
-
-    def class_in_n(u):
-        # canonical label of u + (1-t)^2 N inside (1-t)N
-        return min(gn.add(u, w) for w in im2_n)
-
-    target = {alpha: class_in_n(hmap[m.one_minus_t(alpha)]) for alpha in reps_m}
-    source = {beta: class_in_n(n.one_minus_t(beta)) for beta in reps_n}
-    buckets_m: dict[int, list[int]] = {}
-    for alpha in reps_m:
-        buckets_m.setdefault(target[alpha], []).append(alpha)
-    buckets_n: dict[int, list[int]] = {}
-    for beta in reps_n:
-        buckets_n.setdefault(source[beta], []).append(beta)
-    if sorted(buckets_m) != sorted(buckets_n):
-        raise RuntimeError("internal: quotient classes failed to match")
-    k = {}
-    for cls, alphas in buckets_m.items():
-        betas = buckets_n[cls]
-        if len(alphas) != len(betas):
-            raise RuntimeError("internal: quotient classes failed to match")
-        k.update(zip(sorted(alphas), sorted(betas)))
-
-    for alpha in reps_m:
+    coset_of_m = _coset_of(m.group, sub_m.member_indices)
+    coset_of_n = _coset_of(n.group, sub_n.member_indices)
+    preimages = [[] for _ in range(n.order)]
+    for beta in range(n.order):
+        preimages[n.one_minus_t(beta)].append(beta)
+    k, taken = {}, set()
+    for alpha in range(m.order):
+        if coset_of_m[alpha] != alpha:
+            continue
         u = hmap[m.one_minus_t(alpha)]
-        v = n.one_minus_t(k[alpha])
-        if u != v:
-            diff = gn.sub(u, v)
-            xi = next(
-                (x for x in range(size) if n.one_minus_t(n.one_minus_t(x)) == diff),
-                None,
-            )
-            if xi is None:
-                raise RuntimeError("internal: no correction element found")
-            k[alpha] = gn.add(k[alpha], n.one_minus_t(xi))
-        if n.one_minus_t(k[alpha]) != u:
-            raise RuntimeError("internal: correction failed")
-
-    rep_of = [0] * size
-    for alpha in reps_m:
-        for w in sub_m.member_indices:
-            rep_of[gm.add(alpha, w)] = alpha
-    f = [0] * size
-    for x in range(size):
-        alpha = rep_of[x]
-        f[x] = gn.add(k[alpha], hmap[gm.sub(x, alpha)])
-    witness = IsoWitness(tuple(f), "theorem1-constructive")
-    if not is_quandle_iso(alexander_table(m), alexander_table(n), witness.map):
+        beta = next((b for b in preimages[u] if coset_of_n[b] not in taken), None)
+        if beta is None:
+            raise RuntimeError("internal: no free coset")
+        taken.add(coset_of_n[beta])
+        k[alpha] = beta
+    gm, gn = m.group, n.group
+    f = tuple(
+        gn.add(k[alpha], hmap[gm.sub(x, alpha)])
+        for x, alpha in enumerate(coset_of_m)
+    )
+    if not is_quandle_iso(alexander_table(m), alexander_table(n), f):
         raise RuntimeError("internal: constructed map is not an isomorphism")
-    return witness
+    return IsoWitness(f, "theorem1-constructive")
 
 
 def table_to_json_dict(table: QuandleTable) -> dict:

@@ -18,8 +18,6 @@ import itertools
 import json
 import math
 
-import pytest
-
 import alexquandle.cli as cli
 from alexquandle.classify import (
     classify_order,
@@ -166,8 +164,7 @@ def test_criterion_5_closed_forms():
         expected_connected = 2 * p * p - 3 * p - 1
         assert computed[p * p][1] == expected_connected
         assert predicted_counts(p * p) == (None, expected_connected)
-    with pytest.warns(RuntimeWarning):
-        report = classify_order(25, allow_large=True)
+    report = classify_order(25)
     assert report.connected_count == 2 * 25 - 3 * 5 - 1 == 34
     print("PASS criterion 5: closed-form counts match classification, incl. order 25")
 

@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 from alexquandle import lambda_module
-from alexquandle.abelian import AbelianGroup, GroupAutomorphism, enumerate_automorphisms
+from alexquandle.abelian import AbelianGroup, enumerate_automorphisms
 from alexquandle.lambda_module import (
     LambdaModule,
     Polynomial,
@@ -209,20 +209,29 @@ def test_image_power_two_is_image_of_image():
         image_one_minus_t(m, power=3)
 
 
+def invert(from_abstract):
+    """member -> abstract index; from_abstract must be injective."""
+    to_abstract = {x: i for i, x in enumerate(from_abstract)}
+    assert len(to_abstract) == len(from_abstract)
+    return to_abstract
+
+
 def test_submodule_coordinate_maps_invert():
     m = module_from_polynomial(Polynomial(2, (1, 1, 1, 1)))
     sub = image_one_minus_t(m)
+    to_abstract = invert(sub.from_abstract)
     for parent_idx in sub.member_indices:
-        assert sub.from_abstract[sub.to_abstract[parent_idx]] == parent_idx
+        assert sub.from_abstract[to_abstract[parent_idx]] == parent_idx
     # abstract module mirrors the induced t-action
     inner = sub.as_module
     for parent_idx in sub.member_indices:
-        assert inner.t(sub.to_abstract[parent_idx]) == sub.to_abstract[m.t(parent_idx)]
+        assert inner.t(to_abstract[parent_idx]) == to_abstract[m.t(parent_idx)]
 
 
-def assert_module_isomorphism(members, add, t, abstract, to_abstract):
-    """to_abstract is an additive bijection from members onto abstract that
+def assert_module_isomorphism(members, add, t, abstract, from_abstract):
+    """from_abstract is an additive bijection from abstract onto members that
     commutes with t; which index each member gets is not checked."""
+    to_abstract = invert(from_abstract)
     assert sorted(to_abstract) == sorted(members)
     assert sorted(to_abstract.values()) == list(range(abstract.order))
     abstract_add = abstract.group.add
@@ -239,10 +248,11 @@ def test_recoordinatized_images_are_module_isomorphisms():
             for power in (1, 2):
                 sub = image_one_minus_t(m, power)
                 assert_module_isomorphism(
-                    sub.member_indices, m.group.add, m.t, sub.as_module, sub.to_abstract
+                    sub.member_indices, m.group.add, m.t, sub.as_module, sub.from_abstract
                 )
+                to_abstract = invert(sub.from_abstract)
                 for x in sub.member_indices:
-                    assert sub.from_abstract[sub.to_abstract[x]] == x
+                    assert sub.from_abstract[to_abstract[x]] == x
 
 
 def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
@@ -268,7 +278,7 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
             continue
         calls.clear()
         s = direct_sum(m1, m2)
-        [(members, add, t, element_order, (abstract, to_abstract))] = calls
+        [(members, add, t, element_order, (abstract, from_abstract))] = calls
         assert abstract == s
         for x in members:  # the orders handed in are the additive orders
             k, y = 1, x
@@ -276,7 +286,7 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
                 y = add(y, x)
                 k += 1
             assert element_order(x) == k
-        assert_module_isomorphism(members, add, t, abstract, to_abstract)
+        assert_module_isomorphism(members, add, t, abstract, from_abstract)
 
 
 def test_certificate_is_isomorphism_invariant():

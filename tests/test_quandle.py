@@ -1,10 +1,12 @@
 """Tests for Cayley tables: axioms, orbits, duals, and the two deciders."""
 
+import itertools
 import random
 import sys
 
 import pytest
 
+from alexquandle.abelian import enumerate_automorphisms
 from alexquandle.lambda_module import (
     Polynomial,
     direct_sum,
@@ -101,6 +103,9 @@ def test_axiom_violations_reported_in_order():
     # x ^ y = x + 1 mod 3: bijective columns, distributive, never idempotent
     shift = QuandleTable(((1, 1, 1), (2, 2, 2), (0, 0, 0)))
     assert check_axioms(shift) == ("iii", (0, 0, 0))
+    # column 0 repeats 1 at rows 1, 2 before it repeats 0 at rows 0, 3
+    two_repeats = QuandleTable(((0, 1, 2, 3), (1, 0, 3, 2), (1, 3, 0, 1), (0, 2, 1, 0)))
+    assert check_axioms(two_repeats) == ("i", (0, 3, 0))
 
 
 def test_axioms_reject_out_of_range():
@@ -218,6 +223,19 @@ def test_construct_iso_builds_verified_witness():
     assert is_quandle_iso(alexander_table(m), alexander_table(n), w.map)
 
 
+def test_construct_iso_witnesses_every_isomorphic_pair_up_to_12():
+    pairs = 0
+    for order in range(1, 13):
+        mods = enumerate_structures(order)
+        tables = [alexander_table(m) for m in mods]
+        for i, j in itertools.combinations_with_replacement(range(len(mods)), 2):
+            if theorem1_iso(mods[i], mods[j]):
+                w = construct_quandle_iso(mods[i], mods[j])
+                assert is_iso_oracle(tables[i], tables[j], w.map)
+                pairs += 1
+    assert pairs == 3890
+
+
 def test_construct_iso_accepts_explicit_submodule_map():
     m = linear_module(8, 3)
     n = linear_module(8, 7)
@@ -231,6 +249,26 @@ def test_construct_iso_accepts_explicit_submodule_map():
         broken[0], broken[1] = broken[1], broken[0]
         with pytest.raises(ValueError):
             construct_quandle_iso(m, n, tuple(broken))
+    # every submodule isomorphism works, not only the one lambda_iso finds:
+    # h followed by each t-commuting automorphism of the target's Im(1-t)
+    checked = 0
+    for order in range(1, 9):
+        mods = enumerate_structures(order)
+        tables = [alexander_table(m) for m in mods]
+        for i, j in itertools.combinations_with_replacement(range(len(mods)), 2):
+            source = image_one_minus_t(mods[i]).as_module
+            target = image_one_minus_t(mods[j]).as_module
+            h = lambda_iso(source, target)
+            if h is None:
+                continue
+            for a in enumerate_automorphisms(target.group):
+                emap = a.element_map
+                if any(emap[target.t(x)] != target.t(emap[x]) for x in range(target.order)):
+                    continue
+                w = construct_quandle_iso(mods[i], mods[j], tuple(emap[y] for y in h))
+                assert is_iso_oracle(tables[i], tables[j], w.map)
+                checked += 1
+    assert checked == 11432
 
 
 def test_construct_iso_rejects_non_isomorphic_pair():
