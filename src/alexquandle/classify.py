@@ -3,9 +3,9 @@
 Every structure is a pair (abelian group of order n, automorphism); the
 classifier buckets structures by cheap invariants of the Im(1-t)
 submodule and resolves each bucket with exact module-isomorphism tests.
-Conjugate automorphisms always give isomorphic quandles, so enumeration
-can be pruned to one representative per conjugacy class; reported class
-sizes still count the full enumeration either way.
+Conjugate automorphisms always give isomorphic quandles, so the classifier
+takes one representative per conjugacy class; reported class sizes still
+count the full enumeration.
 
 Representatives are the smallest matching named module (linear, then
 polynomial quotient, then direct sum); structures matching no named
@@ -15,6 +15,7 @@ module keep their raw (group, automorphism) descriptor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .abelian import (
     abelian_groups_of_order,
@@ -111,47 +112,36 @@ def enumerate_structures(n: int, conjugacy_prune: bool = False) -> list[LambdaMo
     return [m for m, _ in _structures_weighted(n, conjugacy_prune)]
 
 
-def classify_order(n: int, *, conjugacy_prune: bool = True) -> ClassificationReport:
+def classify_order(n: int) -> ClassificationReport:
     """All Alexander quandles of order n up to isomorphism."""
     if n < 1:
         raise ValueError(f"no quandles of order {n}")
 
     # the class index: pairwise non-isomorphic Im(1-t) modules bucketed by
-    # certificate; find returns the class isomorphic to an image, or None
-    classes: list[_Class] = []
+    # certificate. The named candidates follow the structures with weight 0:
+    # each candidate is isomorphic to some structure, so it never opens a
+    # class, and since every named descriptor ranks before every pair
+    # descriptor, each class ends up named by its smallest isomorphic
+    # candidate, or by its smallest member when no candidate matches.
     buckets: dict[tuple, list[_Class]] = {}
-
-    def find(image: LambdaModule):
-        for cls in buckets.get(module_certificate(image), ()):
-            if lambda_iso(cls.image, image) is not None:
-                return cls
-        return None
-
-    for module, weight in _structures_weighted(n, conjugacy_prune):
+    structures = _structures_weighted(n, True)
+    candidates = ((cand, 0) for _, cand in named_candidates(n))
+    for module, weight in chain(structures, candidates):
         image = image_one_minus_t(module).as_module
-        cls = find(image)
+        bucket = buckets.setdefault(module_certificate(image), [])
+        cls = next((c for c in bucket if lambda_iso(c.image, image) is not None), None)
         if cls is None:
             cls = _Class(image, module.provenance)
-            buckets.setdefault(module_certificate(image), []).append(cls)
-            classes.append(cls)
+            bucket.append(cls)
         elif descriptor_key(module.provenance) < descriptor_key(cls.representative):
             cls.representative = module.provenance
         cls.weight += weight
 
-    # every candidate's image lies in exactly one class, so walking them in
-    # descriptor order names each class by its first isomorphic candidate
-    unnamed = set(classes)
-    for desc, cand in named_candidates(n):
-        if not unnamed:
-            break
-        cls = find(image_one_minus_t(cand).as_module)
-        if cls in unnamed:
-            unnamed.remove(cls)
-            cls.representative = desc
-
     # the quandle is connected exactly when Im(1-t) is the whole module
     records = [
-        QuandleClass(c.representative, c.image.order == n, c.weight) for c in classes
+        QuandleClass(c.representative, c.image.order == n, c.weight)
+        for bucket in buckets.values()
+        for c in bucket
     ]
     records.sort(key=lambda r: descriptor_key(r.representative))
     return ClassificationReport(n, tuple(records))

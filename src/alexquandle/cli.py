@@ -226,8 +226,6 @@ def _cmd_iso(args) -> int:
         witness = brute
     print("true" if verdict else "false")
     if verdict and args.witness:
-        if witness is None:
-            witness = construct_quandle_iso(left, right)
         print(" ".join(str(v) for v in witness.map))
     return 0 if verdict else 1
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 from .abelian import (
     AbelianGroup,
@@ -131,7 +131,7 @@ def trivial_module() -> LambdaModule:
     return LambdaModule(group, GroupAutomorphism(group, ()), ("sum", ()))
 
 
-def module_from_pair(group: AbelianGroup, phi, provenance=None) -> LambdaModule:
+def module_from_pair(group: AbelianGroup, phi) -> LambdaModule:
     """Build a module from a group and an automorphism (or raw element map).
 
     A raw map is validated for additivity and bijectivity.
@@ -146,10 +146,8 @@ def module_from_pair(group: AbelianGroup, phi, provenance=None) -> LambdaModule:
             raise ValueError("element map is not additive")
     elif phi.group != group:
         raise ValueError("automorphism belongs to a different group")
-    if provenance is None:
-        images = tuple(group.coords(phi.element_map[e]) for e in group.generator_indices())
-        provenance = ("pair", group.invariant_factors, images)
-    return LambdaModule(group, phi, provenance)
+    images = tuple(group.coords(phi.element_map[e]) for e in group.generator_indices())
+    return LambdaModule(group, phi, ("pair", group.invariant_factors, images))
 
 
 def linear_module(n: int, a: int) -> LambdaModule:
@@ -271,7 +269,6 @@ class Submodule:
     is an additive bijection onto member_indices that commutes with t.
     """
 
-    parent: LambdaModule
     member_indices: tuple[int, ...]
     as_module: LambdaModule
     from_abstract: tuple[int, ...]
@@ -294,7 +291,7 @@ def image_one_minus_t(module: LambdaModule, power: int = 1) -> Submodule:
         # a member's order in the submodule is its order in the whole group
         g = module.group
         abstract, from_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
-        memo[key] = Submodule(module, members, abstract, from_abstract)
+        memo[key] = Submodule(members, abstract, from_abstract)
     return memo[key]
 
 
@@ -329,10 +326,8 @@ def module_certificate(module: LambdaModule) -> tuple:
         im1_factors = invariant_factors_from_element_orders(
             [g.element_order(x) for x in im1]
         )
-        tmap = module.t_action.element_map
-        fixed = sum(1 for x, y in enumerate(tmap) if x == y)
-        orbit_sizes = tuple(sorted(_orbit_lengths(tmap)))
-        cert = (g.invariant_factors, im1_factors, len(im2), fixed, orbit_sizes)
+        orbit_sizes = tuple(sorted(_orbit_lengths(module.t_action.element_map)))
+        cert = (g.invariant_factors, im1_factors, len(im2), orbit_sizes)
         module._memo["certificate"] = cert
     return module._memo["certificate"]
 
@@ -443,10 +438,7 @@ def named_candidates(order: int):
         for chosen in product(*per_run):
             comps = [item for run in chosen for item in run]
             descs = tuple(sorted((d for d, _ in comps), key=descriptor_key))
-            key = ("sum", descs)
-            if key in out:
-                continue
-            out[key] = direct_sum_all(m for _, m in comps)
+            out[("sum", descs)] = direct_sum_all(m for _, m in comps)
     return tuple(sorted(out.items(), key=lambda kv: descriptor_key(kv[0])))
 
 
@@ -478,10 +470,10 @@ def module_from_descriptor(desc) -> LambdaModule:
 def module_from_json_dict(data) -> LambdaModule:
     """Module from {"invariant_factors": [...], "t_generator_images": [[...], ...]}."""
     try:
-        factors = tuple(int(d) for d in data["invariant_factors"])
-        coords = [[int(c) for c in img] for img in data["t_generator_images"]]
+        factors = tuple(data["invariant_factors"])
+        coords = tuple(map(tuple, data["t_generator_images"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad module JSON: {exc}") from None
-    group = AbelianGroup(factors)
-    images = tuple(group.index_of(c) for c in coords)
-    return module_from_pair(group, GroupAutomorphism(group, images))
+    if any(type(v) is not int for v in (*factors, *chain.from_iterable(coords))):
+        raise ValueError("module JSON entries must be integers")
+    return module_from_descriptor(("pair", factors, coords))

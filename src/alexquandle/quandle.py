@@ -11,6 +11,7 @@ table bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .lambda_module import (
@@ -194,8 +195,9 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
     """Search for a table isomorphism directly; IsoWitness or None.
 
     Elements are matched by local profile (orbit size, fixed counts,
-    translation cycle type) before backtracking with pairwise consistency
-    checks. Equal tables short-circuit to the identity.
+    translation cycle type) before backtracking. Each choice forces the
+    images of all it generates, which prunes only branches holding no
+    isomorphism. Equal tables short-circuit to the identity.
     """
     n = t1.order
     if t2.order != n:
@@ -213,58 +215,57 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
         cand.append(cs)
     order = sorted(range(n), key=lambda x: (len(cand[x]), x))
     r1, r2 = t1.rows, t2.rows
-    mapping = [-1] * n
-    used = [False] * n
+    # image[x] is the image of x once chosen or forced; known lists the
+    # elements with an image, in the order they got it
+    image = [-1] * n
+    taken = [False] * n
+    known = []
 
-    def consistent(assigned, x):
-        # a constraint (y, z, y^z) is checked when the last of the three is
-        # assigned: pairs with x as operand, then pairs whose result is x
-        u = mapping[x]
-        for y in assigned:
-            v = mapping[y]
-            a = mapping[r1[x][y]]
-            if a != -1 and r2[u][v] != a:
-                return False
-            a = mapping[r1[y][x]]
-            if a != -1 and r2[v][u] != a:
-                return False
-        a = mapping[r1[x][x]]
-        if a != -1 and r2[u][u] != a:
-            return False
-        for y in assigned:
-            ry = r1[y]
-            v = mapping[y]
-            for z in assigned:
-                if ry[z] == x and r2[v][mapping[z]] != u:
-                    return False
+    def extend(x, u):
+        """Map x to u and close under y ^ z -> image[y] ^ image[z]; False on a clash."""
+        image[x], taken[u] = u, True
+        known.append(x)
+        i = len(known) - 1
+        while i < len(known):
+            e = known[i]
+            ue = image[e]
+            for y in known[: i + 1]:
+                v = image[y]
+                for w, f in ((r1[e][y], r2[ue][v]), (r1[y][e], r2[v][ue])):
+                    if image[w] == -1:
+                        if taken[f] or p2[f] != p1[w]:
+                            return False
+                        image[w], taken[f] = f, True
+                        known.append(w)
+                    elif image[w] != f:
+                        return False
+            i += 1
         return True
 
-    # depth-first with an explicit stack instead of recursion: entry i holds
-    # the candidate iterator of depth i and the elements assigned before it
-    stack = [(iter(cand[order[0]]), [])]
+    def undo(size):
+        for w in known[size:]:
+            taken[image[w]] = False
+            image[w] = -1
+        del known[size:]
+
+    # depth-first over unforced elements with an explicit stack of (position
+    # in order, candidate iterator, length of known before its first try)
+    stack = [(0, iter(cand[order[0]]), 0)]
     while stack:
-        i = len(stack) - 1
-        candidates, assigned = stack[i]
-        x = order[i]
-        if mapping[x] != -1:  # back at depth i: undo its last assignment
-            used[mapping[x]] = False
-            mapping[x] = -1
+        pos, candidates, size = stack[-1]
+        undo(size)
         for u in candidates:
-            if used[u]:
-                continue
-            mapping[x] = u
-            used[u] = True
-            if consistent(assigned, x):
+            if not taken[u] and extend(order[pos], u):
                 break
-            mapping[x] = -1
-            used[u] = False
+            undo(size)
         else:
-            stack.pop()  # depth i exhausted
+            stack.pop()
             continue
-        if i + 1 < n:
-            stack.append((iter(cand[order[i + 1]]), order[: i + 1]))
+        pos = next((j for j in range(pos + 1, n) if image[order[j]] == -1), n)
+        if pos < n:
+            stack.append((pos, iter(cand[order[pos]]), len(known)))
             continue
-        witness = tuple(mapping)
+        witness = tuple(image)
         if not is_quandle_iso(t1, t2, witness):
             raise RuntimeError("internal: search returned a non-isomorphism")
         return IsoWitness(witness, "brute-force")
@@ -370,11 +371,13 @@ def table_to_json_dict(table: QuandleTable) -> dict:
 
 def table_from_json_dict(data) -> QuandleTable:
     try:
-        order = int(data["order"])
-        rows = data["table"]
+        order = data["order"]
+        rows = tuple(map(tuple, data["table"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad table JSON: {exc}") from None
-    table = QuandleTable(tuple(tuple(int(v) for v in row) for row in rows))
+    if any(type(v) is not int for v in (order, *chain.from_iterable(rows))):
+        raise ValueError("table JSON entries must be integers")
+    table = QuandleTable(rows)
     if table.order != order:
         raise ValueError(f"declared order {order} does not match table size {table.order}")
     return table

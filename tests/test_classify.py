@@ -138,13 +138,6 @@ def test_structures_on_z2_x_z4_fall_into_three_classes():
     assert sizes == [1, 5, 2]
 
 
-def test_conjugacy_pruning_does_not_change_reports():
-    for n in (4, 8, 9, 12):
-        assert classify_order(n, conjugacy_prune=True) == classify_order(
-            n, conjugacy_prune=False
-        )
-
-
 def test_enumeration_is_deterministic():
     a = enumerate_structures(12)
     b = enumerate_structures(12)
@@ -287,4 +280,3 @@ def two_scan_classes(n):
 def test_class_index_matches_two_scan_oracle(n):
     expected = two_scan_classes(n)
     assert list(classify_order(n).classes) == expected
-    assert list(classify_order(n, conjugacy_prune=False).classes) == expected

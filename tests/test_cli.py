@@ -70,6 +70,12 @@ def test_invalid_values_exit_3(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, ["build", "table:@/no/such/file"])
     assert code == 3
+    # non-integer entries once truncated to [[0, 0], [1, 1]], which passes
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"order": 2, "table": [[0, 0.9], [1.7, 1]]}))
+    code, out, err = run(capsys, ["axioms", f"table:@{fractional}"])
+    assert (code, out) == (3, "")
+    assert err.startswith("invalid input:")
 
 
 def test_usage_error_exits_2():

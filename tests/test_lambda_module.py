@@ -384,3 +384,15 @@ def test_module_from_json_dict():
         module_from_json_dict(
             {"invariant_factors": [2, 4], "t_generator_images": [[0, 1], [1, 1]]}
         )
+    # only JSON integers: [[1.5]] once built t = identity on Z_3
+    for factors, images in [
+        ([3], [[1.5]]),
+        ([3], [[True]]),
+        ([3], [["2"]]),
+        ([3.0], [[2]]),
+        (["3"], [[2]]),
+    ]:
+        with pytest.raises(ValueError):
+            module_from_json_dict(
+                {"invariant_factors": factors, "t_generator_images": images}
+            )

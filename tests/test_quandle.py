@@ -186,8 +186,9 @@ def test_brute_iso_recovers_relabeling():
 
 
 def test_brute_iso_needs_no_recursion_depth():
-    # a search of depth 256 under a limit of 150 frames
-    tab = alexander_table(linear_module(256, 3))
+    # t = 129 changes only the top bit, so each choice forces one more
+    # element: a search 128 deep under a limit of 150 frames
+    tab = alexander_table(linear_module(256, 129))
     sigma = list(range(256))
     random.Random(0).shuffle(sigma)
     shuffled = relabel(tab, sigma)
@@ -283,6 +284,16 @@ def test_table_json_roundtrip():
     data["order"] = 5
     with pytest.raises(ValueError):
         table_from_json_dict(data)
+    # only JSON integers: floats, bools and strings are refused, not truncated
+    for order, rows in [
+        (2, [[0, 0.9], [1.7, 1]]),
+        (2, [[0, True], [1, 1]]),
+        (2, [[0, "1"], [1, 1]]),
+        (2.0, [[0, 0], [1, 1]]),
+        ("2", [[0, 0], [1, 1]]),
+    ]:
+        with pytest.raises(ValueError):
+            table_from_json_dict({"order": order, "table": rows})
 
 
 def test_table_text_roundtrip():
