@@ -1,21 +1,29 @@
 """Classification of Alexander quandles of a given finite order.
 
-Every structure is a pair (abelian group of order n, automorphism); the
-classifier buckets structures by cheap invariants of the Im(1-t)
-submodule and resolves each bucket with exact module-isomorphism tests.
-Conjugate automorphisms always give isomorphic quandles, so the classifier
-takes one representative per conjugacy class; reported class sizes still
-count the full enumeration.
+Every structure is a pair (abelian group of order n, automorphism), and
+two structures give isomorphic quandles exactly when their Im(1-t)
+submodules are isomorphic. Im(1-t) splits into p-primary parts, so the
+classes of order n are the tuples of classes of the prime-power parts of
+n: class sizes multiply, and a tuple is connected when every part is.
+
+Each prime-power part is classified by bucketing its structures by cheap
+invariants of Im(1-t) and resolving each bucket with exact
+module-isomorphism tests. Conjugate automorphisms always give isomorphic
+quandles, so the classifier takes one representative per conjugacy class;
+reported class sizes still count the full enumeration.
 
 Representatives are the smallest matching named module (linear, then
-polynomial quotient, then direct sum); structures matching no named
-module keep their raw (group, automorphism) descriptor.
+polynomial quotient, then direct sum), matched through the primary parts
+of its descriptor; a class with no named module is represented by the
+sum of its parts' representatives, where a part with no name keeps its
+smallest raw (group, automorphism) descriptor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import product
 
 from .abelian import (
     abelian_groups_of_order,
@@ -27,6 +35,7 @@ from .abelian import (
 from .lambda_module import (
     LambdaModule,
     Polynomial,
+    candidate_descriptors,
     descriptor_key,
     descriptor_str,
     identify_as_quotient,
@@ -36,6 +45,8 @@ from .lambda_module import (
     module_from_descriptor,
     module_from_pair,
     named_candidates,
+    primary_part,
+    sum_descriptor,
 )
 
 DEFAULT_MAX_ORDER = 15  # the CLI's size guard when QUANDLE_MAX_ORDER is unset
@@ -82,11 +93,12 @@ class ClassificationReport:
 
 @dataclass(eq=False)
 class _Class:
-    """A class being built: its Im(1-t) module, and the smallest member
-    provenance until a named candidate replaces it."""
+    """A class of one prime-power part: its Im(1-t) module, and the
+    smallest member provenance until a named candidate replaces it."""
 
     image: LambdaModule
     representative: tuple
+    connected: bool
     weight: int = 0
 
 
@@ -112,36 +124,60 @@ def enumerate_structures(n: int, conjugacy_prune: bool = False) -> list[LambdaMo
     return [m for m, _ in _structures_weighted(n, conjugacy_prune)]
 
 
-def classify_order(n: int) -> ClassificationReport:
-    """All Alexander quandles of order n up to isomorphism."""
-    if n < 1:
-        raise ValueError(f"no quandles of order {n}")
-
+def _classify_prime_power(q: int):
+    """The Im(1-t) classes of order q, a prime power, and the class of each
+    named candidate of order q."""
     # the class index: pairwise non-isomorphic Im(1-t) modules bucketed by
-    # certificate. The named candidates follow the structures with weight 0:
+    # certificate. The named candidates are placed after the structures:
     # each candidate is isomorphic to some structure, so it never opens a
     # class, and since every named descriptor ranks before every pair
     # descriptor, each class ends up named by its smallest isomorphic
     # candidate, or by its smallest member when no candidate matches.
     buckets: dict[tuple, list[_Class]] = {}
-    structures = _structures_weighted(n, True)
-    candidates = ((cand, 0) for _, cand in named_candidates(n))
-    for module, weight in chain(structures, candidates):
+
+    def place(module: LambdaModule) -> _Class:
         image = image_one_minus_t(module).as_module
         bucket = buckets.setdefault(module_certificate(image), [])
         cls = next((c for c in bucket if lambda_iso(c.image, image) is not None), None)
         if cls is None:
-            cls = _Class(image, module.provenance)
+            # the quandle is connected exactly when Im(1-t) is the whole module
+            cls = _Class(image, module.provenance, image.order == q)
             bucket.append(cls)
         elif descriptor_key(module.provenance) < descriptor_key(cls.representative):
             cls.representative = module.provenance
-        cls.weight += weight
+        return cls
 
-    # the quandle is connected exactly when Im(1-t) is the whole module
+    for module, weight in _structures_weighted(q, True):
+        place(module).weight += weight
+    named = {desc: place(cand) for desc, cand in named_candidates(q)}
+    return [c for bucket in buckets.values() for c in bucket], named
+
+
+def classify_order(n: int) -> ClassificationReport:
+    """All Alexander quandles of order n up to isomorphism.
+
+    Built from the classes of the prime-power parts of n (none when n = 1),
+    so a composite order enumerates only the structures of its parts.
+    """
+    if n < 1:
+        raise ValueError(f"no quandles of order {n}")
+    fact = factorize(n)
+    parts = [_classify_prime_power(p ** e) for p, e in fact.items()]
+
+    # a named module of order n lands in the tuple of its parts' classes;
+    # the candidates come sorted, so the first to land names the tuple
+    names: dict[tuple, tuple] = {}
+    for desc in candidate_descriptors(n):
+        key = tuple(named[primary_part(desc, p)] for p, (_, named) in zip(fact, parts))
+        names.setdefault(key, desc)
+
     records = [
-        QuandleClass(c.representative, c.image.order == n, c.weight)
-        for bucket in buckets.values()
-        for c in bucket
+        QuandleClass(
+            names.get(combo) or sum_descriptor(c.representative for c in combo),
+            all(c.connected for c in combo),
+            math.prod(c.weight for c in combo),
+        )
+        for combo in product(*(classes for classes, _ in parts))
     ]
     records.sort(key=lambda r: descriptor_key(r.representative))
     return ClassificationReport(n, tuple(records))
@@ -193,26 +229,23 @@ def predicted_counts(n: int):
 
     Primes p give (p - 1, p - 2); prime squares give a connected count of
     2p^2 - 3p - 1 with no distinct-count formula; orders with at least two
-    prime factors multiply the per-prime-power counts (a sum is connected
-    exactly when every summand is). Returns None for p^e with e >= 3,
-    and None in a slot with no formula.
+    prime factors read the counts of classify_order, which multiplies the
+    per-prime-power classes (a sum is connected exactly when every summand
+    is). Returns None for p^e with e >= 3, and None in a slot with no
+    formula.
     """
     if n < 2:
         raise ValueError(f"no prediction for order {n}")
     fact = factorize(n)
-    if len(fact) == 1:
-        ((p, e),) = fact.items()
-        if e == 1:
-            return (p - 1, p - 2)
-        if e == 2:
-            return (None, 2 * p * p - 3 * p - 1)
-        return None
-    distinct, connected = 1, 1
-    for p, e in fact.items():
-        report = classify_order(p ** e)
-        distinct *= report.distinct_count
-        connected *= report.connected_count
-    return (distinct, connected)
+    if len(fact) > 1:
+        report = classify_order(n)
+        return (report.distinct_count, report.connected_count)
+    ((p, e),) = fact.items()
+    if e == 1:
+        return (p - 1, p - 2)
+    if e == 2:
+        return (None, 2 * p * p - 3 * p - 1)
+    return None
 
 
 def poly_connected(p: int, poly: Polynomial) -> bool:

@@ -65,6 +65,48 @@ def descriptor_str(desc) -> str:
     return f"pair:{factors}:{images}"
 
 
+def sum_descriptor(descs) -> tuple:
+    """The descriptor of the direct sum of the described modules.
+
+    Sums are flattened into their pieces, so trivial pieces vanish; the
+    pieces are sorted by descriptor_key, and a single piece stands alone.
+
+    >>> descriptor_str(sum_descriptor([("linear", 3, 2), ("sum", ()), ("linear", 2, 1)]))
+    'sum:linear:2:1+linear:3:2'
+    """
+    pieces = chain.from_iterable(d[1] if d[0] == "sum" else (d,) for d in descs)
+    pieces = sorted(pieces, key=descriptor_key)
+    return pieces[0] if len(pieces) == 1 else ("sum", tuple(pieces))
+
+
+def primary_part(desc, p: int) -> tuple:
+    """The descriptor of the p-primary part of a named module, built symbolically.
+
+    Z_m and Z_b[t]/(h) split by the Chinese remainder theorem, so with q
+    the largest power of p dividing m (or b) the p-part of linear:m:a is
+    linear:q:(a mod q) and that of poly:b:h is poly:q:(h mod q); a sum
+    takes the parts of its pieces. A part of order 1 is the empty sum.
+
+    >>> primary_part(("linear", 48, 25), 2), primary_part(("linear", 48, 25), 3)
+    (('linear', 16, 9), ('linear', 3, 1))
+    >>> primary_part(("poly", 6, (5, 0, 1)), 2)
+    ('poly', 2, (1, 0, 1))
+    """
+    kind = desc[0]
+    if kind == "sum":
+        return sum_descriptor(primary_part(c, p) for c in desc[1])
+    if kind not in ("linear", "poly"):
+        raise ValueError(f"a {kind} descriptor has no symbolic primary part")
+    q = 1
+    while desc[1] % (q * p) == 0:
+        q *= p
+    if q == 1:
+        return ("sum", ())
+    if kind == "linear":
+        return ("linear", q, desc[2] % q)
+    return ("poly", q, Polynomial(q, desc[2]).coeffs)
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """A monic polynomial over Z_n with unit constant term, ascending coeffs.
@@ -178,15 +220,6 @@ def module_from_polynomial(p: Polynomial) -> LambdaModule:
     return LambdaModule(group, t, ("poly", n, coeffs))
 
 
-def _sum_components(m: LambdaModule):
-    prov = m.provenance
-    if prov is None:
-        return None
-    if prov[0] == "sum":
-        return list(prov[1])
-    return [prov]
-
-
 def _recoordinatize(members, add, t, element_order):
     """Express a finite abelian group given by (members, add) in canonical form.
 
@@ -247,11 +280,9 @@ def direct_sum(m1: LambdaModule, m2: LambdaModule) -> LambdaModule:
         return math.lcm(o1(x % n1), o2(x // n1))
 
     module, _ = _recoordinatize(range(n1 * m2.order), add, t, element_order)
-    comps1, comps2 = _sum_components(m1), _sum_components(m2)
-    if comps1 is None or comps2 is None:
+    if m1.provenance is None or m2.provenance is None:
         return module
-    comps = tuple(sorted(comps1 + comps2, key=descriptor_key))
-    return replace(module, provenance=("sum", comps))
+    return replace(module, provenance=sum_descriptor((m1.provenance, m2.provenance)))
 
 
 def direct_sum_all(modules) -> LambdaModule:
@@ -380,19 +411,15 @@ def _integer_roots(order: int):
     return out
 
 
-def _atomic_candidates(order: int):
+def _atomic_descriptors(order: int):
     """Named non-sum modules of the given order: linear and companion forms."""
-    out = []
-    for a in range(1, order):
-        if math.gcd(order, a) == 1:
-            out.append((("linear", order, a), linear_module(order, a)))
+    out = [("linear", order, a) for a in range(1, order) if math.gcd(order, a) == 1]
     for base, degree in _integer_roots(order):
         units = [c for c in range(1, base) if math.gcd(c, base) == 1]
         for c0 in units:
             for mid in product(range(base), repeat=degree - 1):
-                poly = Polynomial(base, (c0, *mid, 1))
-                out.append((("poly", base, poly.coeffs), module_from_polynomial(poly)))
-    return tuple(out)
+                out.append(("poly", base, (c0, *mid, 1)))
+    return out
 
 
 def _factorizations(n: int):
@@ -412,34 +439,40 @@ def _factorizations(n: int):
     return results
 
 
-def named_candidates(order: int):
-    """All canonically named modules of one order, sorted by descriptor.
+def candidate_descriptors(order: int) -> list:
+    """The descriptors of every canonically named module of one order,
+    sorted by descriptor_key.
 
     Covers linear forms, polynomial quotients whose base power matches the
-    order, and direct sums of those; used to put a readable name on
-    classification output. Every call builds its modules afresh.
+    order, and direct sums of two or more of those.
+
+    >>> [descriptor_str(d) for d in candidate_descriptors(4)]
+    ['linear:4:1', 'linear:4:3', 'poly:2:1,0,1', 'poly:2:1,1,1', 'sum:linear:2:1+linear:2:1']
     """
     if order < 1:
         raise ValueError(f"no modules of order {order}")
     if order == 1:
-        return ((("sum", ()), trivial_module()),)
+        return [("sum", ())]
     factorizations = _factorizations(order)
-    # the atomic modules of each part size, shared by every sum that uses it
-    atomic = {p: _atomic_candidates(p) for p in {order}.union(*factorizations)}
-    out = dict(atomic[order])
+    atomic = {p: _atomic_descriptors(p) for p in {order}.union(*factorizations)}
+    out = list(atomic[order])
     for parts in factorizations:
-        runs: dict[int, int] = {}
-        for part in parts:
-            runs[part] = runs.get(part, 0) + 1
         per_run = [
-            combinations_with_replacement(atomic[part], mult)
-            for part, mult in sorted(runs.items())
+            combinations_with_replacement(atomic[part], parts.count(part))
+            for part in sorted(set(parts))
         ]
-        for chosen in product(*per_run):
-            comps = [item for run in chosen for item in run]
-            descs = tuple(sorted((d for d, _ in comps), key=descriptor_key))
-            out[("sum", descs)] = direct_sum_all(m for _, m in comps)
-    return tuple(sorted(out.items(), key=lambda kv: descriptor_key(kv[0])))
+        out.extend(sum_descriptor(chain(*chosen)) for chosen in product(*per_run))
+    return sorted(out, key=descriptor_key)
+
+
+def named_candidates(order: int):
+    """(descriptor, module) for every canonically named module of one order,
+    sorted by descriptor (see candidate_descriptors).
+
+    Used to put a readable name on classification output. Every call
+    builds its modules afresh.
+    """
+    return tuple((d, module_from_descriptor(d)) for d in candidate_descriptors(order))
 
 
 def identify_as_quotient(module: LambdaModule):

@@ -9,7 +9,12 @@ import itertools
 
 import pytest
 
-from alexquandle.abelian import AbelianGroup, enumerate_automorphisms
+from alexquandle.abelian import (
+    AbelianGroup,
+    abelian_groups_of_order,
+    enumerate_automorphisms,
+    factorize,
+)
 from alexquandle.classify import (
     QuandleClass,
     classify_order,
@@ -27,6 +32,7 @@ from alexquandle.lambda_module import (
     image_one_minus_t,
     lambda_iso,
     linear_module,
+    module_from_descriptor,
     module_from_pair,
     module_from_polynomial,
     named_candidates,
@@ -276,7 +282,56 @@ def two_scan_classes(n):
     return sorted(records, key=lambda r: descriptor_key(r.representative))
 
 
-@pytest.mark.parametrize("n", range(2, 16))
+@pytest.mark.parametrize(
+    "n", [*range(2, 16), *(n for n in range(16, 36) if len(factorize(n)) > 1)]
+)
 def test_class_index_matches_two_scan_oracle(n):
     expected = two_scan_classes(n)
     assert list(classify_order(n).classes) == expected
+
+
+def test_order_54_names_unnamed_parts_by_their_sum():
+    # four classes of order 27 match no named module; at order 54 they
+    # are represented by their sum with the one class of order 2
+    report = classify_order(54)
+    assert (report.distinct_count, report.connected_count) == (45, 0)
+    paired = [
+        c
+        for c in report.classes
+        if c.representative[0] == "sum"
+        and any(d[0] == "pair" for d in c.representative[1])
+    ]
+    assert [descriptor_str(c.representative) for c in paired] == [
+        "sum:linear:2:1+pair:3,9:2,0;1,2",
+        "sum:linear:2:1+pair:3,9:2,3;0,2",
+        "sum:linear:2:1+pair:3,9:2,3;1,2",
+        "sum:linear:2:1+pair:3,9:2,3;2,2",
+    ]
+    assert all((c.connected, c.class_size_in_enumeration) == (False, 6) for c in paired)
+
+
+def test_order_54_representatives_are_pairwise_non_isomorphic():
+    images = []
+    for c in classify_order(54).classes:
+        module = module_from_descriptor(c.representative)
+        assert module.order == 54
+        images.append(image_one_minus_t(module).as_module)
+        assert (images[-1].order == 54) == c.connected
+    assert len(images) == 45
+    for a, b in itertools.combinations(images, 2):
+        assert lambda_iso(a, b) is None
+
+
+@pytest.mark.parametrize("n", [48, 54])
+def test_class_sizes_count_every_structure(n):
+    total = sum(len(enumerate_automorphisms(g)) for g in abelian_groups_of_order(n))
+    if n == 48:
+        assert total == 40944
+    assert sum(c.class_size_in_enumeration for c in classify_order(n).classes) == total
+
+
+def test_composite_counts_are_products_of_prime_power_counts():
+    counts = {q: classify_order(q) for q in (9, 16)}
+    report = classify_order(144)
+    assert report.distinct_count == counts[9].distinct_count * counts[16].distinct_count
+    assert report.connected_count == counts[9].connected_count * counts[16].connected_count

@@ -13,10 +13,11 @@ import weakref
 import pytest
 
 from alexquandle import lambda_module
-from alexquandle.abelian import AbelianGroup, enumerate_automorphisms
+from alexquandle.abelian import AbelianGroup, enumerate_automorphisms, factorize
 from alexquandle.lambda_module import (
     LambdaModule,
     Polynomial,
+    candidate_descriptors,
     descriptor_key,
     descriptor_str,
     direct_sum,
@@ -31,6 +32,7 @@ from alexquandle.lambda_module import (
     module_from_pair,
     module_from_polynomial,
     named_candidates,
+    primary_part,
     trivial_module,
 )
 from alexquandle.classify import enumerate_structures
@@ -353,6 +355,44 @@ def test_named_candidates_order_8():
         assert m.order == 8
         rebuilt = module_from_descriptor(d)
         assert lambda_iso(m, rebuilt) is not None
+
+
+def test_primary_part_examples():
+    assert primary_part(("linear", 48, 25), 2) == ("linear", 16, 9)
+    assert primary_part(("linear", 48, 25), 3) == ("linear", 3, 1)
+    assert primary_part(("linear", 16, 9), 3) == ("sum", ())
+    # t^2 + t + 5 over Z_6 is t^2 + t + 1 over Z_2 and t^2 + t + 2 over Z_3
+    assert primary_part(("poly", 6, (5, 1, 1)), 2) == ("poly", 2, (1, 1, 1))
+    assert primary_part(("poly", 6, (5, 1, 1)), 3) == ("poly", 3, (2, 1, 1))
+    desc = ("sum", (("linear", 2, 1), ("linear", 6, 5), ("poly", 12, (7, 0, 1))))
+    assert primary_part(desc, 2) == (
+        "sum",
+        (("linear", 2, 1), ("linear", 2, 1), ("poly", 4, (3, 0, 1))),
+    )
+    assert primary_part(desc, 3) == ("sum", (("linear", 3, 2), ("poly", 3, (1, 0, 1))))
+    assert primary_part(("sum", (("linear", 2, 1), ("linear", 9, 2))), 3) == ("linear", 9, 2)
+    with pytest.raises(ValueError):
+        primary_part(("pair", (2,), ((1,),)), 2)
+
+
+def test_primary_parts_of_candidates_are_candidates():
+    # the classifier names a class of order n through the parts of the
+    # candidates of order n, so every part must be a candidate of order p^e
+    for n in range(2, 101):
+        fact = factorize(n)
+        if len(fact) == 1:
+            continue
+        named = {p: set(candidate_descriptors(p**e)) for p, e in fact.items()}
+        for desc in candidate_descriptors(n):
+            for p in fact:
+                assert primary_part(desc, p) in named[p], (desc, p)
+
+
+def test_primary_parts_sum_to_the_module():
+    for n in (6, 10, 12, 18, 20):
+        for desc, module in named_candidates(n):
+            parts = [module_from_descriptor(primary_part(desc, p)) for p in factorize(n)]
+            assert lambda_iso(module, direct_sum_all(parts)) is not None, desc
 
 
 def test_identify_round_trip():
