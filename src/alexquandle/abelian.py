@@ -527,3 +527,111 @@ def conjugacy_classes(auts) -> list[list[GroupAutomorphism]]:
         classes.append([auts[j] for j in orbit])
     classes.sort(key=lambda cls: cls[0].generator_images)
     return classes
+
+
+def _poly_mul(a, b, p: int) -> tuple[int, ...]:
+    """Product of two polynomials over F_p, coefficients ascending."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(c % p for c in out)
+
+
+def _monic_irreducibles(p: int, max_degree: int) -> list[tuple[int, ...]]:
+    """The monic irreducibles over F_p other than t, of degree 1..max_degree,
+    by degree and then by coefficients (ascending, leading 1 last).
+
+    A sieve: the reducible monics of degree d are the products of a monic
+    of degree i <= d/2 and one of degree d - i.
+
+    >>> _monic_irreducibles(2, 3)
+    [(1, 1), (1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
+    """
+    monics = {
+        d: [(*c, 1) for c in product(range(p), repeat=d)] for d in range(max_degree + 1)
+    }
+    out = []
+    for d in range(1, max_degree + 1):
+        reducible = {
+            _poly_mul(f, g, p)
+            for i in range(1, d // 2 + 1)
+            for f in monics[i]
+            for g in monics[d - i]
+        }
+        out.extend(f for f in monics[d] if f not in reducible and f[0])
+    return out
+
+
+def _centralizer_order(q: int, parts: tuple[int, ...]) -> int:
+    """|centralizer| of the f-primary part with partition ``parts``, q = p^deg f.
+
+    Green's formula q^{sum (lambda'_j)^2} prod_i phi_{m_i}(1/q), with m_i
+    the multiplicity of i in the partition and phi_m(x) = (1-x)...(1-x^m),
+    in integers: q^{-j}(q^j - 1) = 1 - q^{-j} moves the negative powers of
+    q into the exponent.
+    """
+    dual = [sum(1 for part in parts if part >= j) for j in range(1, max(parts) + 1)]
+    exponent = sum(c * c for c in dual)
+    out = 1
+    for i in set(parts):
+        m = parts.count(i)
+        exponent -= m * (m + 1) // 2
+        out *= math.prod(q**j - 1 for j in range(1, m + 1))
+    return out * q**exponent
+
+
+def gl_conjugacy_classes(p: int, k: int):
+    """Yield (automorphism, class size), one per conjugacy class of
+    Aut(Z_p^k) = GL_k(p), without enumerating the group.
+
+    A class is an F_p[t]-module of dimension k with t invertible, so it is
+    named by its rational canonical form: a partition lambda_f for each
+    monic irreducible f != t, with sum deg(f) |lambda_f| = k. Its
+    automorphism is block diagonal, one companion matrix of f^i for each
+    part i of each lambda_f, and built by the validating constructor. The
+    class size is |GL_k(p)| over the product of the centralizer orders of
+    the f-primary parts (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. IV).
+
+    >>> classes = list(gl_conjugacy_classes(2, 3))
+    >>> sorted(size for _, size in classes)
+    [1, 21, 24, 24, 42, 56]
+    """
+    if not is_prime(p) or k < 0:
+        raise ValueError(f"no group GL_{k}({p})")
+    group = AbelianGroup((p,) * k)
+    gens = group.generator_indices()
+    gl_order = math.prod(p**k - p**i for i in range(k))
+    irreducibles = _monic_irreducibles(p, k)
+
+    def forms(start: int, rest: int):
+        # (f, partition) lists with sum deg(f) |partition| = rest, f from start on
+        if rest == 0:
+            yield []
+            return
+        for i in range(start, len(irreducibles)):
+            f = irreducibles[i]
+            deg = len(f) - 1
+            for size in range(1, rest // deg + 1):
+                for parts in _partitions(size):
+                    for tail in forms(i + 1, rest - deg * size):
+                        yield [(f, parts), *tail]
+
+    for form in forms(0, k):
+        images = []
+        centralizer = 1
+        for f, parts in form:
+            centralizer *= _centralizer_order(p ** (len(f) - 1), parts)
+            for part in parts:
+                g = (1,)
+                for _ in range(part):
+                    g = _poly_mul(g, f, p)
+                # the companion of g on the next deg g coordinates e_0, e_1, ...:
+                # e_j -> e_{j+1}, and the last -> -(g_0 e_0 + g_1 e_1 + ...)
+                offset, deg = len(images), len(g) - 1
+                images.extend(gens[offset + 1:offset + deg])
+                coords = [0] * k
+                coords[offset:offset + deg] = [(-c) % p for c in g[:-1]]
+                images.append(group.index_of(coords))
+        yield GroupAutomorphism(group, tuple(images)), gl_order // centralizer

@@ -10,7 +10,8 @@ Module specs:
 
 Exit codes: 0 predicate true / success, 1 predicate false or axiom failure,
 2 malformed spec or usage, 3 invalid input values, 4 internal error,
-including disagreement between deciders.
+including disagreement between deciders, 141 (128 + SIGPIPE) when the
+reader closes stdout early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -466,7 +467,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, which is no failure of ours; with stdout
+        # on devnull the interpreter's final flush stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SpecParseError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,8 @@ totient for cyclic groups and a brute-force scan over all permutations for
 every group of order at most 8. Enumerated automorphisms, built without
 re-validation, are checked against the validating constructor, and
 conjugacy classes against a direct conjugation of full element maps.
+The rational canonical forms of GL_k(p) are checked against those
+classes, and their number against Macdonald's generating function.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from alexquandle.abelian import (
     conjugacy_classes,
     enumerate_automorphisms,
     factorize,
+    gl_conjugacy_classes,
     identity_automorphism,
     invariant_factors_from_element_orders,
     is_prime,
@@ -347,3 +350,46 @@ def test_conjugacy_classes_rejects_non_closed_nonabelian():
     assert len(involutions) == 3
     with pytest.raises(ValueError, match="not closed"):
         conjugacy_classes([ident] + involutions[:2])
+
+
+def gl_class_count(q: int, k: int) -> int:
+    """The number of conjugacy classes of GL_k(q): the coefficient of x^k
+    in prod_{i >= 1} (1 - x^i) / (1 - q x^i) (Macdonald, ch. IV)."""
+    series = [1] + [0] * k
+    for i in range(1, k + 1):
+        series = [c - (series[j - i] if j >= i else 0) for j, c in enumerate(series)]
+        for j in range(i, k + 1):  # divide by 1 - q x^i
+            series[j] += q * series[j - i]
+    return series[k]
+
+
+ELEMENTARY_ABELIAN_UP_TO_27 = [
+    *((p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+    (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2),
+]
+
+
+@pytest.mark.parametrize("p, k", ELEMENTARY_ABELIAN_UP_TO_27)
+def test_rational_canonical_forms_match_enumerated_classes(p, k):
+    group = AbelianGroup((p,) * k)
+    classes = conjugacy_classes(enumerate_automorphisms(group))
+    class_of = {a.generator_images: i for i, cls in enumerate(classes) for a in cls}
+    forms = list(gl_conjugacy_classes(p, k))
+    assert all(aut.group == group for aut, _ in forms)
+    hits = [class_of[aut.generator_images] for aut, _ in forms]
+    # distinct forms land in distinct classes, and every class is hit
+    assert sorted(hits) == list(range(len(classes)))
+    assert [size for _, size in forms] == [len(classes[i]) for i in hits]
+    assert len(forms) == gl_class_count(p, k)
+
+
+def test_rational_canonical_form_counts_beyond_enumeration():
+    for (p, k), count in {(2, 5): 27, (2, 6): 60, (3, 4): 78, (5, 3): 120}.items():
+        forms = list(gl_conjugacy_classes(p, k))
+        assert len(forms) == gl_class_count(p, k) == count
+        assert sum(size for _, size in forms) == math.prod(p**k - p**i for i in range(k))
+
+
+def test_gl_conjugacy_classes_rejects_non_prime():
+    with pytest.raises(ValueError):
+        next(gl_conjugacy_classes(4, 2))

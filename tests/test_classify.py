@@ -6,6 +6,7 @@ behavioral drift in enumeration, bucketing, or naming shows up as a diff.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -328,6 +329,52 @@ def test_class_sizes_count_every_structure(n):
     if n == 48:
         assert total == 40944
     assert sum(c.class_size_in_enumeration for c in classify_order(n).classes) == total
+
+
+def hillar_rhea_aut_order(factors) -> int:
+    """|Aut(G)| for G = Z_d1 + ... + Z_dk (Hillar and Rhea, Amer. Math.
+    Monthly 114, 2007), a product over the p-primary parts: with exponents
+    e_1 <= ... <= e_m, d_i = max{l : e_l = e_i} and c_i = min{l : e_l = e_i},
+    the p-part contributes prod_i (p^d_i - p^(i-1)) p^(e_i (m - d_i))
+    p^((e_i - 1)(m - c_i + 1))."""
+    order = math.prod(factors)
+    total = 1
+    for p in factorize(order):
+        es = []
+        for d in factors:
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e:
+                es.append(e)
+        es.sort()
+        m = len(es)
+        for i, e in enumerate(es, 1):
+            d_i = max(j for j in range(1, m + 1) if es[j - 1] == e)
+            c_i = min(j for j in range(1, m + 1) if es[j - 1] == e)
+            total *= (p**d_i - p ** (i - 1)) * p ** (e * (m - d_i))
+            total *= p ** ((e - 1) * (m - c_i + 1))
+    return total
+
+
+def test_hillar_rhea_formula_matches_enumeration():
+    for n in range(1, 33):
+        for g in abelian_groups_of_order(n):
+            if g.invariant_factors == (2,) * 5:
+                continue  # 9,999,360 automorphisms
+            assert hillar_rhea_aut_order(g.invariant_factors) == len(
+                enumerate_automorphisms(g)
+            ), g
+
+
+def test_class_sizes_count_every_structure_at_order_32():
+    # Z2^5 cannot be enumerated; its classes come from rational canonical forms
+    total = sum(hillar_rhea_aut_order(g.invariant_factors) for g in abelian_groups_of_order(32))
+    assert total == 10022960
+    report = classify_order(32)
+    assert (report.distinct_count, report.connected_count) == (48, 8)
+    assert sum(c.class_size_in_enumeration for c in report.classes) == total
 
 
 def test_composite_counts_are_products_of_prime_power_counts():

@@ -5,6 +5,9 @@ together so each documented code keeps its meaning.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -303,3 +306,32 @@ def test_parse_spec_returns_module_or_table(tmp_path):
     path.write_text("0 1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         parse_spec(f"table:@{path}")  # 1 x 2 is not square
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs F_SETPIPE_SZ")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # a reader that stops after one line, as `| head -n 1` does; the pipe
+    # is shrunk to one page so the 71 kB report cannot fit in it, and the
+    # CLI must see the close whether it prints line by line or in blocks
+    import fcntl
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, QUANDLE_MAX_ORDER="432", PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "alexquandle", "classify", "432"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        first = reader.readline()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert first == b"order 432: 1035 distinct, 270 connected\n"
