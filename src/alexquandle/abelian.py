@@ -365,10 +365,6 @@ class GroupAutomorphism:
         return GroupAutomorphism(self.group, images)
 
 
-def identity_automorphism(group: AbelianGroup) -> GroupAutomorphism:
-    return GroupAutomorphism(group, group.generator_indices())
-
-
 def abelian_groups_of_order(n: int) -> list[AbelianGroup]:
     """All abelian groups of order n, one per isomorphism class.
 
@@ -635,3 +631,22 @@ def gl_conjugacy_classes(p: int, k: int):
                 coords[offset:offset + deg] = [(-c) % p for c in g[:-1]]
                 images.append(group.index_of(coords))
         yield GroupAutomorphism(group, tuple(images)), gl_order // centralizer
+
+
+def automorphism_classes(group: AbelianGroup):
+    """Yield (automorphism, class size), one per conjugacy class of Aut(group).
+
+    Z_p^k takes its classes from rational canonical forms
+    (``gl_conjugacy_classes``), so GL_k(p) is never enumerated; every other
+    group enumerates its automorphisms and partitions them, each class
+    represented by its member with the smallest generator images.
+
+    >>> [size for _, size in automorphism_classes(AbelianGroup((2, 4)))]
+    [1, 2, 1, 2, 2]
+    """
+    facs = group.invariant_factors
+    if facs and facs[0] == facs[-1] and is_prime(facs[0]):
+        yield from gl_conjugacy_classes(facs[0], len(facs))
+    else:
+        for cls in conjugacy_classes(enumerate_automorphisms(group)):
+            yield cls[0], len(cls)

@@ -9,12 +9,9 @@ n: class sizes multiply, and a tuple is connected when every part is.
 Each prime-power part is classified by bucketing its structures by cheap
 invariants of Im(1-t) and resolving each bucket with exact
 module-isomorphism tests. Conjugate automorphisms always give isomorphic
-quandles, so the classifier takes one representative per conjugacy class;
-reported class sizes still count the full enumeration. For an
-elementary-abelian group Z_p^k the classes of GL_k(p) come from rational
-canonical forms, with their sizes from the centralizer formula
-(``gl_conjugacy_classes``), so Z_2^5 at order 32 is never enumerated;
-every other group enumerates its automorphisms and partitions them.
+quandles, so the classifier takes one representative per conjugacy class
+from ``automorphism_classes``; reported class sizes still count the full
+enumeration.
 
 Representatives are the smallest matching named module (linear, then
 polynomial quotient, then direct sum), matched through the primary parts
@@ -31,10 +28,9 @@ from itertools import product
 
 from .abelian import (
     abelian_groups_of_order,
-    conjugacy_classes,
+    automorphism_classes,
     enumerate_automorphisms,
     factorize,
-    gl_conjugacy_classes,
     is_prime,
 )
 from .lambda_module import (
@@ -53,9 +49,6 @@ from .lambda_module import (
     primary_part,
     sum_descriptor,
 )
-
-DEFAULT_MAX_ORDER = 15  # the CLI's size guard when QUANDLE_MAX_ORDER is unset
-
 
 @dataclass(frozen=True)
 class QuandleClass:
@@ -107,34 +100,10 @@ class _Class:
     weight: int = 0
 
 
-def _representatives(n: int):
-    """(module, class size) for one automorphism per conjugacy class of
-    each abelian group of order n.
-
-    Z_p^k takes its classes from rational canonical forms; every other
-    group enumerates its automorphisms and partitions them.
-    """
-    for group in abelian_groups_of_order(n):
-        facs = group.invariant_factors
-        if facs and facs[0] == facs[-1] and is_prime(facs[0]):
-            classes = gl_conjugacy_classes(facs[0], len(facs))
-        else:
-            auts = enumerate_automorphisms(group)
-            classes = ((cls[0], len(cls)) for cls in conjugacy_classes(auts))
-        for aut, size in classes:
-            yield module_from_pair(group, aut), size
-
-
-def enumerate_structures(n: int, conjugacy_prune: bool = False) -> list[LambdaModule]:
-    """One module per (group, automorphism) pair of order n.
-
-    With conjugacy_prune, one per conjugacy class of automorphisms: the
-    representatives the classifier places.
-    """
+def enumerate_structures(n: int) -> list[LambdaModule]:
+    """One module per (group, automorphism) pair of order n."""
     if n < 1:
         raise ValueError(f"no structures of order {n}")
-    if conjugacy_prune:
-        return [m for m, _ in _representatives(n)]
     return [
         module_from_pair(group, a)
         for group in abelian_groups_of_order(n)
@@ -165,8 +134,9 @@ def _classify_prime_power(q: int):
             cls.representative = module.provenance
         return cls
 
-    for module, weight in _representatives(q):
-        place(module).weight += weight
+    for group in abelian_groups_of_order(q):
+        for aut, weight in automorphism_classes(group):
+            place(module_from_pair(group, aut)).weight += weight
     named = {desc: place(cand) for desc, cand in named_candidates(q)}
     return [c for bucket in buckets.values() for c in bucket], named
 

@@ -22,12 +22,7 @@ import json
 import os
 import sys
 
-from .classify import (
-    DEFAULT_MAX_ORDER,
-    classify_order,
-    count_table,
-    table1_report,
-)
+from .classify import classify_order, count_table, table1_report
 from .lambda_module import (
     LambdaModule,
     Polynomial,
@@ -54,6 +49,8 @@ from .quandle import (
     table_to_text,
     theorem1_iso,
 )
+
+DEFAULT_MAX_ORDER = 15  # the size guard when QUANDLE_MAX_ORDER is unset
 
 
 class SpecParseError(ValueError):
@@ -165,11 +162,16 @@ def _emit_table(table: QuandleTable, args) -> None:
         out = table_to_text(table) + "\n"
     else:
         out = json.dumps(table_to_json_dict(table)) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
     else:
-        sys.stdout.write(out)
+        # an unbuffered stdout writes through to a raw file, which may take
+        # only part of a large table and drop the rest silently
+        sys.stdout.flush()
+        data = memoryview(out.encode(sys.stdout.encoding))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
 
 
 def _max_order() -> int:

@@ -173,20 +173,9 @@ def trivial_module() -> LambdaModule:
     return LambdaModule(group, GroupAutomorphism(group, ()), ("sum", ()))
 
 
-def module_from_pair(group: AbelianGroup, phi) -> LambdaModule:
-    """Build a module from a group and an automorphism (or raw element map).
-
-    A raw map is validated for additivity and bijectivity.
-    """
-    if not isinstance(phi, GroupAutomorphism):
-        emap = list(phi)
-        if len(emap) != group.order:
-            raise ValueError("element map has wrong length")
-        images = tuple(emap[e] for e in group.generator_indices())
-        phi = GroupAutomorphism(group, images)
-        if tuple(emap) != phi.element_map:
-            raise ValueError("element map is not additive")
-    elif phi.group != group:
+def module_from_pair(group: AbelianGroup, phi: GroupAutomorphism) -> LambdaModule:
+    """The module on group with t acting as the automorphism phi."""
+    if phi.group != group:
         raise ValueError("automorphism belongs to a different group")
     images = tuple(group.coords(phi.element_map[e]) for e in group.generator_indices())
     return LambdaModule(group, phi, ("pair", group.invariant_factors, images))

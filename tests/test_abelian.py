@@ -6,7 +6,9 @@ every group of order at most 8. Enumerated automorphisms, built without
 re-validation, are checked against the validating constructor, and
 conjugacy classes against a direct conjugation of full element maps.
 The rational canonical forms of GL_k(p) are checked against those
-classes, and their number against Macdonald's generating function.
+classes, and their number against Macdonald's generating function;
+``automorphism_classes`` is checked against them for every group of
+order at most 32.
 """
 
 import itertools
@@ -18,11 +20,11 @@ from alexquandle.abelian import (
     AbelianGroup,
     GroupAutomorphism,
     abelian_groups_of_order,
+    automorphism_classes,
     conjugacy_classes,
     enumerate_automorphisms,
     factorize,
     gl_conjugacy_classes,
-    identity_automorphism,
     invariant_factors_from_element_orders,
     is_prime,
     iter_automorphisms,
@@ -192,7 +194,7 @@ def test_automorphism_is_additive():
 def test_compose_and_inverse():
     g = AbelianGroup((2, 4))
     auts = enumerate_automorphisms(g)
-    ident = identity_automorphism(g)
+    ident = GroupAutomorphism(g, g.generator_indices())
     for f in auts:
         assert f.compose(f.inverse()).element_map == ident.element_map
         assert f.inverse().compose(f).element_map == ident.element_map
@@ -393,3 +395,29 @@ def test_rational_canonical_form_counts_beyond_enumeration():
 def test_gl_conjugacy_classes_rejects_non_prime():
     with pytest.raises(ValueError):
         next(gl_conjugacy_classes(4, 2))
+
+
+ABELIAN_GROUPS_UP_TO_32 = [
+    g.invariant_factors
+    for n in range(1, 33)
+    for g in abelian_groups_of_order(n)
+    if g.invariant_factors != (2,) * 5  # |GL_5(2)| = 9,999,360: too many to list
+]
+
+
+@pytest.mark.parametrize("factors", ABELIAN_GROUPS_UP_TO_32, ids=str)
+def test_automorphism_classes_match_enumerated_classes(factors):
+    group = AbelianGroup(factors)
+    classes = conjugacy_classes(enumerate_automorphisms(group))
+    class_of = {a.generator_images: i for i, cls in enumerate(classes) for a in cls}
+    found = list(automorphism_classes(group))
+    assert all(aut.group == group for aut, _ in found)
+    hits = [class_of[aut.generator_images] for aut, _ in found]
+    # distinct representatives land in distinct classes, and every class is hit
+    assert sorted(hits) == list(range(len(classes)))
+    assert [size for _, size in found] == [len(classes[i]) for i in hits]
+
+
+def test_automorphism_classes_of_z2_5_count_gl_5_2():
+    found = automorphism_classes(AbelianGroup((2,) * 5))
+    assert sum(size for _, size in found) == 9_999_360

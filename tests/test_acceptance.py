@@ -19,6 +19,7 @@ import json
 import math
 
 import alexquandle.cli as cli
+from alexquandle.abelian import abelian_groups_of_order, automorphism_classes
 from alexquandle.classify import (
     classify_order,
     count_table,
@@ -31,6 +32,7 @@ from alexquandle.lambda_module import (
     lambda_iso,
     linear_module,
     module_from_descriptor,
+    module_from_pair,
 )
 from alexquandle.linear import linear_dual, linear_iso
 from alexquandle.quandle import (
@@ -193,7 +195,9 @@ def test_criterion_7_property_suites():
     for n in range(1, 16):
         tables.extend(alexander_table(m) for m in enumerate_structures(n))
     tables.extend(
-        alexander_table(m) for m in enumerate_structures(16, conjugacy_prune=True)
+        alexander_table(module_from_pair(g, aut))
+        for g in abelian_groups_of_order(16)
+        for aut, _ in automorphism_classes(g)
     )
     for tab in tables:
         assert check_axioms(tab) is None

@@ -308,12 +308,9 @@ def test_parse_spec_returns_module_or_table(tmp_path):
         parse_spec(f"table:@{path}")  # 1 x 2 is not square
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs F_SETPIPE_SZ")
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_closed_stdout_exits_141_silently(unbuffered):
-    # a reader that stops after one line, as `| head -n 1` does; the pipe
-    # is shrunk to one page so the 71 kB report cannot fit in it, and the
-    # CLI must see the close whether it prints line by line or in blocks
+def run_into_closing_reader(argv, unbuffered, read):
+    """Run the CLI into a one-page pipe whose reader stops after read(reader);
+    return the exit code, stderr and what was read."""
     import fcntl
 
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -322,16 +319,46 @@ def test_closed_stdout_exits_141_silently(unbuffered):
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "alexquandle", "classify", "432"],
+        [sys.executable, "-m", "alexquandle", *argv],
         stdout=write_end,
         stderr=subprocess.PIPE,
         env=env,
     )
     os.close(write_end)
     with os.fdopen(read_end, "rb") as reader:
-        first = reader.readline()
+        head = read(reader)
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 141
+    return proc.wait(timeout=120), err, head
+
+
+needs_pipe_size = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="needs F_SETPIPE_SZ"
+)
+
+
+@needs_pipe_size
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # a reader that stops after one line, as `| head -n 1` does; the pipe
+    # is shrunk to one page so the 71 kB report cannot fit in it, and the
+    # CLI must see the close whether it prints line by line or in blocks
+    code, err, first = run_into_closing_reader(
+        ["classify", "432"], unbuffered, lambda reader: reader.readline()
+    )
+    assert code == 141
     assert err == b""
     assert first == b"order 432: 1035 distinct, 270 connected\n"
+
+
+@needs_pipe_size
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_mid_table_exits_141_silently(unbuffered):
+    # a 160 kB table goes out in one write; an unbuffered stdout is a raw
+    # file that may take only part of it, and the rest must not be dropped
+    code, err, head = run_into_closing_reader(
+        ["build", "linear:200:7", "--format", "text"], unbuffered, lambda r: r.read(20)
+    )
+    assert code == 141
+    assert err == b""
+    assert head == b"0 194 188 182 176 17"

@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 from alexquandle import lambda_module
-from alexquandle.abelian import AbelianGroup, enumerate_automorphisms, factorize
+from alexquandle.abelian import enumerate_automorphisms, factorize
 from alexquandle.lambda_module import (
     LambdaModule,
     Polynomial,
@@ -29,7 +29,6 @@ from alexquandle.lambda_module import (
     module_certificate,
     module_from_descriptor,
     module_from_json_dict,
-    module_from_pair,
     module_from_polynomial,
     named_candidates,
     primary_part,
@@ -112,12 +111,6 @@ def test_polynomial_quotient_annihilated_by_its_polynomial():
 def test_degree_one_quotient_is_linear():
     m = module_from_polynomial(Polynomial(9, (-4, 1)))
     assert m.provenance == ("linear", 9, 4)
-
-
-def test_module_from_pair_rejects_non_equivariant_input():
-    g = AbelianGroup((4,))
-    with pytest.raises(ValueError):
-        module_from_pair(g, (0, 2, 1, 3))  # swaps 1 and 2, not additive
 
 
 def test_t_inverse_and_one_minus_t():

@@ -1,5 +1,6 @@
-"""Hypothesis property tests: the two deciders agree, and spec parsing
-fails only with the documented error types.
+"""Hypothesis property tests: the two deciders agree, direct sums commute
+and associate, Im(1-t) embeds its abstract copy, and spec parsing fails
+only with the documented error types.
 
 Every test is derandomized, so a run draws the same examples each time.
 """
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 from alexquandle.abelian import iter_automorphisms
 from alexquandle.cli import SpecParseError, parse_spec
-from alexquandle.lambda_module import module_from_descriptor, module_from_pair
+from alexquandle.lambda_module import (
+    direct_sum,
+    image_one_minus_t,
+    lambda_iso,
+    module_from_descriptor,
+    module_from_pair,
+)
 from alexquandle.quandle import (
     alexander_table,
     brute_iso,
@@ -82,6 +89,41 @@ def test_deciders_agree_on_conjugated_t(desc, k):
     phi = list(islice(iter_automorphisms(m.group), k + 1))[-1]
     t = phi.compose(m.t_action).compose(phi.inverse())
     assert assert_deciders_agree(m, module_from_pair(m.group, t))
+
+
+@st.composite
+def summand_triples(draw):
+    """Three linear or polynomial-quotient descriptors, orders multiplying to <= 64."""
+    a = draw(st.integers(2, 16))
+    b = draw(st.integers(2, 32 // a))
+    c = draw(st.integers(2, 64 // (a * b)))
+    return tuple(draw(atomic_descriptors(n)) for n in (a, b, c))
+
+
+@deterministic
+@given(summand_triples())
+def test_direct_sum_commutes_and_associates(descs):
+    x, y, z = map(module_from_descriptor, descs)
+    xy, yx = direct_sum(x, y), direct_sum(y, x)
+    assert xy.provenance == yx.provenance
+    assert lambda_iso(xy, yx) is not None
+    left, right = direct_sum(xy, z), direct_sum(x, direct_sum(y, z))
+    assert left.provenance == right.provenance
+    assert lambda_iso(left, right) is not None
+
+
+@deterministic
+@given(st.integers(13, 64).flatmap(module_descriptors), st.sampled_from([1, 2]))
+def test_image_one_minus_t_embeds_its_abstract_copy(desc, power):
+    # from_abstract is an additive, t-commuting bijection onto the members
+    m = module_from_descriptor(desc)
+    sub = image_one_minus_t(m, power)
+    f, abstract = sub.from_abstract, sub.as_module
+    assert sorted(f) == list(sub.member_indices)
+    for x in abstract.group.elements():
+        assert f[abstract.t(x)] == m.t(f[x])
+        for y in abstract.group.elements():
+            assert f[abstract.group.add(x, y)] == m.group.add(f[x], f[y])
 
 
 SPEC_ALPHABET = "linearpolysumtb0123456789:,+-"
