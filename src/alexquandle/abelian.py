@@ -357,13 +357,6 @@ class GroupAutomorphism:
         images = tuple(m_s[m_o[e]] for e in self.group.generator_indices())
         return GroupAutomorphism(self.group, images)
 
-    def inverse(self) -> GroupAutomorphism:
-        inv = [0] * self.group.order
-        for x, y in enumerate(self.element_map):
-            inv[y] = x
-        images = tuple(inv[e] for e in self.group.generator_indices())
-        return GroupAutomorphism(self.group, images)
-
 
 def abelian_groups_of_order(n: int) -> list[AbelianGroup]:
     """All abelian groups of order n, one per isomorphism class.

@@ -165,6 +165,9 @@ def _emit_table(table: QuandleTable, args) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
+    elif not hasattr(sys.stdout, "buffer"):
+        # a text-only stream, such as io.StringIO, has no raw file behind it
+        sys.stdout.write(out)
     else:
         # an unbuffered stdout writes through to a raw file, which may take
         # only part of a large table and drop the rest silently

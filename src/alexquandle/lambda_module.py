@@ -29,7 +29,9 @@ from itertools import chain, combinations_with_replacement, product
 from .abelian import (
     AbelianGroup,
     GroupAutomorphism,
+    _monic_irreducibles,
     invariant_factors_from_element_orders,
+    is_prime,
     iter_embeddings,
 )
 
@@ -161,7 +163,8 @@ class LambdaModule:
 
     @cached_property
     def _memo(self) -> dict:
-        """Im(1-t) submodules and the certificate, kept as long as the module."""
+        """Im(1-t) submodules, the certificate and the isomorphism key, kept
+        as long as the module."""
         return {}
 
     def one_minus_t(self, x: int) -> int:
@@ -337,7 +340,10 @@ def _orbit_lengths(perm) -> list[int]:
 def module_certificate(module: LambdaModule) -> tuple:
     """Cheap isomorphism invariants used to prescreen lambda_iso.
 
-    Equal certificates are necessary (not sufficient) for isomorphism.
+    Equal certificates are necessary (not sufficient) for isomorphism, so
+    modules with equal certificates still need a ``lambda_iso`` search.
+    Classification buckets by it only the modules that have no
+    ``isomorphism_key``.
     """
     if "certificate" not in module._memo:
         im1 = {module.one_minus_t(x) for x in range(module.order)}
@@ -350,6 +356,104 @@ def module_certificate(module: LambdaModule) -> tuple:
         cert = (g.invariant_factors, im1_factors, len(im2), orbit_sizes)
         module._memo["certificate"] = cert
     return module._memo["certificate"]
+
+
+def _mat_mul(a, b, p: int) -> list[list[int]]:
+    """The product of two square matrices over F_p."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+
+def _rank(rows, p: int) -> int:
+    """The rank of a matrix over F_p, by Gaussian elimination on a copy."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = [x * inv % p for x in rows[rank]]
+        rows[rank] = top
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _rational_canonical_key(module: LambdaModule, p: int) -> tuple:
+    """For each monic irreducible f != t over F_p that is not invertible on
+    the F_p-space Z_p^k, the ranks of f(T), f(T)^2, ... up to the first
+    that repeats, with T the matrix of t.
+
+    The nullity of f(T)^j minus that of f(T)^(j-1) is deg f times the
+    number of parts >= j of the partition of f in the rational canonical
+    form, so the ranks give the form and the form gives the module
+    (Macdonald, Symmetric Functions and Hall Polynomials, ch. IV).
+    """
+    g = module.group
+    k = len(g.invariant_factors)
+    # column j of T is the coordinate vector of t(e_j)
+    t_mat = [list(r) for r in zip(*map(g.coords, module.t_action.generator_images))]
+    out = []
+    nullity = 0
+    for f in _monic_irreducibles(p, k):
+        # Horner from the leading 1: f(T) = (...(T + f_{d-1})T + ...)T + f_0
+        f_mat = [[int(i == j) for j in range(k)] for i in range(k)]
+        for c in reversed(f[:-1]):
+            f_mat = _mat_mul(f_mat, t_mat, p)
+            for i in range(k):
+                f_mat[i][i] = (f_mat[i][i] + c) % p
+        ranks = [_rank(f_mat, p)]
+        if ranks[0] == k:
+            continue
+        power = f_mat
+        while True:
+            power = _mat_mul(power, f_mat, p)
+            r = _rank(power, p)
+            if r == ranks[-1]:
+                break
+            ranks.append(r)
+        out.append((f, tuple(ranks)))
+        nullity += k - ranks[-1]
+        if nullity == k:  # every dimension is accounted for
+            break
+    return tuple(out)
+
+
+def isomorphism_key(module: LambdaModule):
+    """A complete isomorphism key, or None where none is known.
+
+    Two modules with keys are isomorphic exactly when their keys are
+    equal. A cyclic Z_m (or the trivial module) is keyed by its factors
+    and the image of its generator under t, the unit t multiplies by. An
+    elementary abelian Z_p^k is an F_p[t]-module, keyed by its factors
+    and the ranks that fix its rational canonical form (see
+    ``_rational_canonical_key``). Every other group has no key.
+
+    On Z_3[t]/(t^2 + t + 1) = Z_3[t]/((t + 2)^2), f = t + 2 has ranks 1, 0:
+    one Jordan block of size 2.
+
+    >>> isomorphism_key(linear_module(9, 4))
+    ((9,), (4,))
+    >>> isomorphism_key(module_from_polynomial(Polynomial(3, (1, 1, 1))))
+    ((3, 3), (((2, 1), (1, 0)),))
+    >>> isomorphism_key(direct_sum(linear_module(2, 1), linear_module(4, 1))) is None
+    True
+    """
+    memo = module._memo
+    if "key" not in memo:
+        facs = module.group.invariant_factors
+        if len(facs) <= 1:
+            memo["key"] = (facs, module.t_action.generator_images)
+        elif facs[0] == facs[-1] and is_prime(facs[0]):
+            memo["key"] = (facs, _rational_canonical_key(module, facs[0]))
+        else:
+            memo["key"] = None
+    return memo["key"]
 
 
 def lambda_iso(m: LambdaModule, n: LambdaModule):

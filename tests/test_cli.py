@@ -4,6 +4,8 @@ main() is called in-process; stdout, stderr, and exit codes are asserted
 together so each documented code keeps its meaning.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -40,6 +42,14 @@ def test_build_to_file(capsys, tmp_path):
     assert code == 0 and out == ""
     data = json.loads(path.read_text())
     assert data["order"] == 5
+
+
+def test_build_into_text_only_stdout():
+    # io.StringIO has no binary buffer underneath, so the table goes out as text
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["build", "linear:3:2", "--format", "text"])
+    assert (code, out.getvalue()) == (0, "0 2 1\n2 1 0\n1 0 2\n")
 
 
 def test_axioms_pass_and_fail(capsys, tmp_path):

@@ -2,18 +2,26 @@
 
 lambda_iso is checked against a brute-force oracle that scans every
 additive bijection of the underlying group for one commuting with both
-t-actions.
+t-actions, and isomorphism_key against lambda_iso: equal keys exactly
+when a t-commuting isomorphism exists.
 """
 
 import gc
 import itertools
 import math
+import random
 import weakref
 
 import pytest
 
 from alexquandle import lambda_module
-from alexquandle.abelian import enumerate_automorphisms, factorize
+from alexquandle.abelian import (
+    GroupAutomorphism,
+    abelian_groups_of_order,
+    automorphism_classes,
+    enumerate_automorphisms,
+    factorize,
+)
 from alexquandle.lambda_module import (
     LambdaModule,
     Polynomial,
@@ -24,11 +32,13 @@ from alexquandle.lambda_module import (
     direct_sum_all,
     identify_as_quotient,
     image_one_minus_t,
+    isomorphism_key,
     lambda_iso,
     linear_module,
     module_certificate,
     module_from_descriptor,
     module_from_json_dict,
+    module_from_pair,
     module_from_polynomial,
     named_candidates,
     primary_part,
@@ -300,6 +310,76 @@ def test_lambda_iso_against_brute_oracle():
                 assert got == brute_lambda_iso(m, n), (order, i)
                 if got is not None:
                     assert_valid_witness(m, n, got)
+
+
+def class_structures(order: int) -> list[LambdaModule]:
+    """One structure per conjugacy class of Aut(G), over every G of the order."""
+    return [
+        module_from_pair(g, aut)
+        for g in abelian_groups_of_order(order)
+        for aut, _ in automorphism_classes(g)
+    ]
+
+
+def assert_key_decides(m, n) -> bool:
+    """Equal keys exactly when lambda_iso finds a map, and a keyed module
+    is never isomorphic to an unkeyed one; false when neither has a key."""
+    km, kn = isomorphism_key(m), isomorphism_key(n)
+    if km is None and kn is None:
+        return False
+    found = lambda_iso(m, n) is not None
+    assert (km == kn) == found, (km, kn)
+    return km is not None and kn is not None
+
+
+def test_isomorphism_key_is_complete_up_to_32():
+    prime_powers = [q for q in range(2, 33) if len(factorize(q)) == 1]
+    by_order: dict[int, list[LambdaModule]] = {}
+    for q in prime_powers:
+        for m in class_structures(q):
+            by_order.setdefault(q, []).append(m)
+            image = image_one_minus_t(m).as_module
+            by_order.setdefault(image.order, []).append(image)
+    keyed = sum(
+        assert_key_decides(m, n)
+        for mods in by_order.values()
+        for m, n in itertools.combinations(mods, 2)
+    )
+    assert keyed == 20_667
+
+
+def random_conjugate(m: LambdaModule, rng: random.Random) -> LambdaModule:
+    """m with t replaced by phi t phi^-1 for a random automorphism phi."""
+    g = m.group
+    gens = g.generator_indices()
+    while True:
+        try:
+            phi = GroupAutomorphism(g, tuple(rng.randrange(g.order) for _ in gens))
+            break
+        except ValueError:  # not an automorphism; draw again
+            pass
+    images = tuple(phi(m.t(phi.element_map.index(e))) for e in gens)
+    return module_from_pair(g, GroupAutomorphism(g, images))
+
+
+@pytest.mark.parametrize("order, pairs", [(49, 60), (121, 20)])
+def test_isomorphism_key_decides_random_pairs(order, pairs):
+    # half the pairs are a structure against a conjugate of itself, half
+    # against a conjugate of a structure with the same certificate
+    rng = random.Random(order)
+    structures = class_structures(order)
+    isomorphic = 0
+    for i in range(pairs):
+        m = rng.choice(structures)
+        if i % 2:
+            cert = module_certificate(m)
+            m2 = rng.choice([s for s in structures if module_certificate(s) == cert])
+        else:
+            m2 = m
+        n = random_conjugate(m2, rng)
+        assert_key_decides(m, n)
+        isomorphic += isomorphism_key(m) == isomorphism_key(n)
+    assert pairs // 2 <= isomorphic < pairs
 
 
 def test_lambda_iso_symmetric_and_reflexive():

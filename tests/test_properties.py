@@ -11,7 +11,7 @@ from itertools import islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexquandle.abelian import iter_automorphisms
+from alexquandle.abelian import GroupAutomorphism, iter_automorphisms
 from alexquandle.cli import SpecParseError, parse_spec
 from alexquandle.lambda_module import (
     direct_sum,
@@ -87,7 +87,9 @@ def test_deciders_agree_on_conjugated_t(desc, k):
     # conjugating t by a group automorphism phi gives an isomorphic module
     m = module_from_descriptor(desc)
     phi = list(islice(iter_automorphisms(m.group), k + 1))[-1]
-    t = phi.compose(m.t_action).compose(phi.inverse())
+    # phi t phi^-1 sends e to phi(t(x)) with x the preimage of e under phi
+    images = (phi(m.t(phi.element_map.index(e))) for e in m.group.generator_indices())
+    t = GroupAutomorphism(m.group, tuple(images))
     assert assert_deciders_agree(m, module_from_pair(m.group, t))
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from alexquandle.abelian import enumerate_automorphisms
+from alexquandle.abelian import GroupAutomorphism, enumerate_automorphisms
 from alexquandle.lambda_module import (
     Polynomial,
     direct_sum,
@@ -134,7 +134,9 @@ def test_dual_is_involution_and_inverts_t():
     for m in enumerate_structures(8):
         tab = alexander_table(m)
         assert dual(dual(tab)) == tab
-        inv = module_from_pair(m.group, m.t_action.inverse())
+        gens = m.group.generator_indices()
+        t_inverse = tuple(m.t_action.element_map.index(e) for e in gens)
+        inv = module_from_pair(m.group, GroupAutomorphism(m.group, t_inverse))
         assert dual(tab) == alexander_table(inv)
 
 
