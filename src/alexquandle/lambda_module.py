@@ -163,8 +163,10 @@ class LambdaModule:
 
     @cached_property
     def _memo(self) -> dict:
-        """Im(1-t) submodules, the certificate and the isomorphism key, kept
-        as long as the module."""
+        """Im(1-t) submodules, the certificate, the isomorphism key, element
+        orders and t-orbit lengths, and the t-module generators (with the
+        pool they come from, on an Im(1-t) module), kept as long as the
+        module."""
         return {}
 
     def one_minus_t(self, x: int) -> int:
@@ -307,13 +309,19 @@ def image_one_minus_t(module: LambdaModule, power: int = 1) -> Submodule:
     key = ("image", power)
     memo = module._memo
     if key not in memo:
-        xs = range(module.order)
+        # (1-t)^power is additive, so the images of the group generators
+        # span the image; for a t-cyclic module such as a linear or
+        # polynomial one, the image of its generator 1 alone generates
+        # the image under t
+        xs, gens = range(module.order), module.group.generator_indices()
         for _ in range(power):
             xs = {module.one_minus_t(x) for x in xs}
+            gens = [module.one_minus_t(e) for e in gens]
         members = tuple(sorted(xs))
         # a member's order in the submodule is its order in the whole group
         g = module.group
         abstract, from_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
+        abstract._memo["generator_pool"] = tuple(map(from_abstract.index, gens))
         memo[key] = Submodule(members, abstract, from_abstract)
     return memo[key]
 
@@ -337,6 +345,16 @@ def _orbit_lengths(perm) -> list[int]:
     return out
 
 
+def _element_profile(module: LambdaModule) -> tuple[list[int], list[int]]:
+    """The additive order and the t-orbit length of every element."""
+    memo = module._memo
+    if "profile" not in memo:
+        g = module.group
+        orders = [g.element_order(x) for x in range(module.order)]
+        memo["profile"] = (orders, _orbit_lengths(module.t_action.element_map))
+    return memo["profile"]
+
+
 def module_certificate(module: LambdaModule) -> tuple:
     """Cheap isomorphism invariants used to prescreen lambda_iso.
 
@@ -348,12 +366,10 @@ def module_certificate(module: LambdaModule) -> tuple:
     if "certificate" not in module._memo:
         im1 = {module.one_minus_t(x) for x in range(module.order)}
         im2 = {module.one_minus_t(x) for x in im1}
-        g = module.group
-        im1_factors = invariant_factors_from_element_orders(
-            [g.element_order(x) for x in im1]
-        )
-        orbit_sizes = tuple(sorted(_orbit_lengths(module.t_action.element_map)))
-        cert = (g.invariant_factors, im1_factors, len(im2), orbit_sizes)
+        orders, orbits = _element_profile(module)
+        im1_factors = invariant_factors_from_element_orders([orders[x] for x in im1])
+        factors = module.group.invariant_factors
+        cert = (factors, im1_factors, len(im2), tuple(sorted(orbits)))
         module._memo["certificate"] = cert
     return module._memo["certificate"]
 
@@ -459,37 +475,146 @@ def isomorphism_key(module: LambdaModule):
 def lambda_iso(m: LambdaModule, n: LambdaModule):
     """An additive, t-commuting bijection m -> n as an index tuple, or None.
 
-    The first map of ``iter_embeddings`` into n whose partial maps commute
-    with t on their spans; candidates must match element order and t-orbit
-    length. The identity is found first when m and n coincide.
+    Equal modules get the identity. Where both modules have an
+    ``isomorphism_key``, unequal keys answer None at once; equal keys on
+    a cyclic (or trivial) group mean the modules are equal. Everything
+    else is decided by a search over t-module generators
+    (``_t_generator_search``), so the map returned between distinct
+    modules is whichever that search meets first, not the first in any
+    fixed order of all maps.
     """
-    if m.group.order != n.group.order:
+    if m.order != n.order:
         return None
-    if module_certificate(m) != module_certificate(n):
+    if m == n:
+        return tuple(range(m.order))
+    km, kn = isomorphism_key(m), isomorphism_key(n)
+    if km is not None and kn is not None and km != kn:
         return None
-    facs = m.group.invariant_factors
-    size = m.group.order
-    tm, tn = m.t_action.element_map, n.t_action.element_map
-    orbit_m, orbit_n = _orbit_lengths(tm), _orbit_lengths(tn)
-    orders_n = [n.group.element_order(x) for x in range(size)]
-    addn = n.group.add
-    cand = []
-    for e, d in zip(m.group.generator_indices(), facs):
-        ol = orbit_m[e]
-        cand.append(
-            tuple(y for y in range(size) if orders_n[y] == d and orbit_n[y] == ol)
-        )
+    return _t_generator_search(m, n)
 
-    def equivariant(span, emap):
-        for z in range(span):
-            tz = tm[z]
-            if tz < span and emap[tz] != tn[emap[z]]:
+
+def _t_generators(module: LambdaModule) -> tuple[int, ...]:
+    """Generators of the module under t and addition, chosen greedily.
+
+    The pool is every element, or for an Im(1-t) submodule the images of
+    its parent's group generators (see ``image_one_minus_t``). Pool
+    elements are taken by largest additive order, then longest t-orbit,
+    then smallest index, skipping those already in the span of the
+    chosen ones. A linear or polynomial module keeps its generator 1,
+    and its Im(1-t) the image of 1.
+    """
+    memo = module._memo
+    if "t_generators" not in memo:
+        size, add, t = module.order, module.group.add, module.t
+        orders, orbits = _element_profile(module)
+        pool = memo.get("generator_pool", range(1, size))
+        inside = [False] * size
+        inside[0] = True
+        span = [0]
+        gens = []
+        for x in sorted(pool, key=lambda x: (-orders[x], -orbits[x], x)):
+            if len(span) == size:
+                break
+            if inside[x]:
+                continue
+            gens.append(x)
+            g = x
+            for _ in range(orbits[x]):  # span + <g> for g = x, tx, t^2 x, ...
+                multiples = []
+                cg = g
+                while not inside[cg]:
+                    multiples.append(cg)
+                    cg = add(cg, g)
+                head = span[:]
+                for c in multiples:
+                    for h in head:
+                        z = add(h, c)
+                        inside[z] = True
+                        span.append(z)
+                g = t(g)
+        memo["t_generators"] = tuple(gens)
+    return memo["t_generators"]
+
+
+def _t_generator_search(m: LambdaModule, n: LambdaModule):
+    """A t-commuting additive bijection m -> n, found without isomorphism keys.
+
+    A map is fixed by the images of the generators of ``_t_generators(m)``.
+    Each generator x tries, in ascending order, the images y in n of the
+    same additive order and t-orbit length. The partial map phi, defined
+    on a subgroup H of m, is extended along x, tx, t^2 x, ... one element
+    g at a time to H + <g>, sending h + c*g to phi(h) + c*g' with g' the
+    image of g (t^k x goes to t^k y). Writing d for the order of g modulo
+    H, the extension is well defined exactly when d*g' = phi(d*g) (else a
+    relation clash) and injective exactly when c*g' lies outside phi(H)
+    for c = 1, ..., d-1 (else an injectivity clash). A clash rejects y
+    and undoes its extensions. Once every generator has an image the map
+    is defined on all of m; it commutes with t because phi(t^k x) is
+    t^k y for every generator x.
+    """
+    if m.order != n.order or module_certificate(m) != module_certificate(n):
+        return None
+    size = m.order
+    addm, addn = m.group.add, n.group.add
+    tm, tn = m.t_action.element_map, n.t_action.element_map
+    orders_m, orbits_m = _element_profile(m)
+    orders_n, orbits_n = _element_profile(n)
+    gens = _t_generators(m)
+    cand = [
+        [y for y in range(1, size) if orders_n[y] == orders_m[x] and orbits_n[y] == orbits_m[x]]
+        for x in gens
+    ]
+    phi = [-1] * size
+    phi[0] = 0
+    taken = [False] * size
+    taken[0] = True
+    domain = [0]  # the elements of H, in the order they joined it
+
+    def extend(g, g2) -> bool:
+        """Extend phi to H + <g> with g -> g2; False on a clash."""
+        if phi[g] >= 0:
+            return phi[g] == g2
+        multiples = []
+        cg, cg2 = g, g2
+        while phi[cg] < 0:
+            if taken[cg2]:
                 return False
+            multiples.append((cg, cg2))
+            cg, cg2 = addm(cg, g), addn(cg2, g2)
+        if phi[cg] != cg2:
+            return False
+        head = domain[:]
+        for c, c2 in multiples:
+            for h in head:
+                z, w = addm(h, c), addn(phi[h], c2)
+                phi[z] = w
+                taken[w] = True
+                domain.append(z)
         return True
 
-    shift = lambda z: partial(addn, z)
-    found = next(iter_embeddings(facs, cand, shift, equivariant), None)
-    return None if found is None else found[1]
+    def undo(mark: int) -> None:
+        for z in domain[mark:]:
+            taken[phi[z]] = False
+            phi[z] = -1
+        del domain[mark:]
+
+    def rec(level: int) -> bool:
+        if level == len(gens):
+            return True
+        x, mark = gens[level], len(domain)
+        for y in cand[level]:
+            g, g2 = x, y
+            for _ in range(orbits_m[x]):
+                if not extend(g, g2):
+                    break
+                g, g2 = tm[g], tn[g2]
+            else:
+                if rec(level + 1):
+                    return True
+            undo(mark)
+        return False
+
+    return tuple(phi) if rec(0) else None
 
 
 def _integer_roots(order: int):

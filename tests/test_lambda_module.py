@@ -1,8 +1,10 @@
 """Tests for t-module construction, direct sums, images, and lambda_iso.
 
-lambda_iso is checked against a brute-force oracle that scans every
-additive bijection of the underlying group for one commuting with both
-t-actions, and isomorphism_key against lambda_iso: equal keys exactly
+lambda_iso's verdicts are checked against a brute-force oracle that scans
+every additive bijection of the underlying group for one commuting with
+both t-actions, and every map it returns is checked to be such a
+bijection. isomorphism_key is checked against the key-free search over
+t-module generators that lambda_iso falls back on: equal keys exactly
 when a t-commuting isomorphism exists.
 """
 
@@ -16,6 +18,7 @@ import pytest
 
 from alexquandle import lambda_module
 from alexquandle.abelian import (
+    AbelianGroup,
     GroupAutomorphism,
     abelian_groups_of_order,
     automorphism_classes,
@@ -302,14 +305,29 @@ def test_certificate_is_isomorphism_invariant():
 
 
 def test_lambda_iso_against_brute_oracle():
+    # any isomorphism may come back, not necessarily the oracle's first
     for order in range(2, 9):
         mods = enumerate_structures(order)
         for i, m in enumerate(mods):
             for n in mods[i:]:
                 got = lambda_iso(m, n)
-                assert got == brute_lambda_iso(m, n), (order, i)
+                assert (got is None) == (brute_lambda_iso(m, n) is None), (order, i)
                 if got is not None:
                     assert_valid_witness(m, n, got)
+
+
+def test_lambda_iso_settles_keyed_pairs_without_search(monkeypatch):
+    def no_search(m, n):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(lambda_module, "_t_generator_search", no_search)
+    assert lambda_iso(linear_module(9, 4), linear_module(9, 7)) is None
+    assert lambda_iso(linear_module(9, 4), linear_module(9, 4)) == tuple(range(9))
+    z3_2 = AbelianGroup((3, 3))
+    one = module_from_pair(z3_2, GroupAutomorphism(z3_2, z3_2.generator_indices()))
+    swap = module_from_pair(z3_2, GroupAutomorphism(z3_2, (3, 1)))
+    assert lambda_iso(one, swap) is None
+    assert lambda_iso(swap, swap) == tuple(range(9))
 
 
 def class_structures(order: int) -> list[LambdaModule]:
@@ -321,31 +339,57 @@ def class_structures(order: int) -> list[LambdaModule]:
     ]
 
 
+def structures_and_images(max_order: int) -> dict[int, list[LambdaModule]]:
+    """By order: the class structures of every prime-power order up to
+    max_order, and their Im(1-t) modules."""
+    by_order: dict[int, list[LambdaModule]] = {}
+    for q in range(2, max_order + 1):
+        if len(factorize(q)) == 1:
+            for m in class_structures(q):
+                by_order.setdefault(q, []).append(m)
+                image = image_one_minus_t(m).as_module
+                by_order.setdefault(image.order, []).append(image)
+    return by_order
+
+
 def assert_key_decides(m, n) -> bool:
-    """Equal keys exactly when lambda_iso finds a map, and a keyed module
-    is never isomorphic to an unkeyed one; false when neither has a key."""
+    """Equal keys exactly when the key-free search finds a map, and a keyed
+    module is never isomorphic to an unkeyed one; false when neither has a
+    key. lambda_iso itself reads the keys, so it cannot be the oracle."""
     km, kn = isomorphism_key(m), isomorphism_key(n)
     if km is None and kn is None:
         return False
-    found = lambda_iso(m, n) is not None
+    found = lambda_module._t_generator_search(m, n) is not None
     assert (km == kn) == found, (km, kn)
     return km is not None and kn is not None
 
 
 def test_isomorphism_key_is_complete_up_to_32():
-    prime_powers = [q for q in range(2, 33) if len(factorize(q)) == 1]
-    by_order: dict[int, list[LambdaModule]] = {}
-    for q in prime_powers:
-        for m in class_structures(q):
-            by_order.setdefault(q, []).append(m)
-            image = image_one_minus_t(m).as_module
-            by_order.setdefault(image.order, []).append(image)
     keyed = sum(
         assert_key_decides(m, n)
-        for mods in by_order.values()
+        for mods in structures_and_images(32).values()
         for m, n in itertools.combinations(mods, 2)
     )
     assert keyed == 20_667
+
+
+def test_t_generator_search_up_to_32():
+    # the keyed pairs' verdicts are checked against their keys above; here
+    # the unkeyed ones with equal certificates are checked against the
+    # brute oracle, and every map the search finds must be an isomorphism
+    pairs = found = 0
+    for mods in structures_and_images(32).values():
+        for m, n in itertools.combinations(mods, 2):
+            if m.group != n.group:
+                continue
+            pairs += 1
+            got = lambda_module._t_generator_search(m, n)
+            if got is not None:
+                found += 1
+                assert_valid_witness(m, n, got)
+            if isomorphism_key(m) is None and module_certificate(m) == module_certificate(n):
+                assert (got is None) == (brute_lambda_iso(m, n) is None), (m, n)
+    assert (pairs, found) == (17_080, 2_755)
 
 
 def random_conjugate(m: LambdaModule, rng: random.Random) -> LambdaModule:
@@ -380,6 +424,40 @@ def test_isomorphism_key_decides_random_pairs(order, pairs):
         assert_key_decides(m, n)
         isomorphic += isomorphism_key(m) == isomorphism_key(n)
     assert pairs // 2 <= isomorphic < pairs
+
+
+def test_t_generator_search_finds_random_conjugates():
+    # the pairs above are mostly non-isomorphic; a conjugate of t is always
+    # isomorphic, and on a module needing several generators the search
+    # has to backtrack over each one's images
+    rng = random.Random(32)
+    several = 0
+    for q in (8, 9, 16, 27, 32):
+        for m in class_structures(q):
+            n = random_conjugate(m, rng)
+            got = lambda_module._t_generator_search(m, n)
+            assert got is not None, m
+            assert_valid_witness(m, n, got)
+            several += len(lambda_module._t_generators(m)) > 1
+    assert several == 173
+
+
+def test_t_generators_of_t_cyclic_and_trivial_t_modules():
+    # a linear or polynomial module is generated by 1 under t, and its
+    # Im(1-t) by the image of 1; with t = 1 every invariant factor needs
+    # a generator of its own
+    t_generators = lambda_module._t_generators
+    for order in range(2, 65):
+        for desc in candidate_descriptors(order):
+            if desc[0] in ("linear", "poly"):
+                m = module_from_descriptor(desc)
+                assert t_generators(m) == (1,), desc
+                image = image_one_minus_t(m).as_module
+                assert len(t_generators(image)) == (image.order > 1), desc
+    for factors in [(2, 2, 2), (2, 4), (3, 9)]:
+        g = AbelianGroup(factors)
+        m = module_from_pair(g, GroupAutomorphism(g, g.generator_indices()))
+        assert len(t_generators(m)) == len(factors)
 
 
 def test_lambda_iso_symmetric_and_reflexive():
