@@ -241,7 +241,7 @@ class AbelianGroup:
         return order
 
 
-def iter_embeddings(factors, candidates, shift, prune=None):
+def iter_embeddings(factors, candidates, shift):
     """Yield every injective additive map out of Z_d1 + ... + Z_dk.
 
     ``factors`` are d1, ..., dk and ``candidates[i]`` lists the allowed
@@ -257,9 +257,6 @@ def iter_embeddings(factors, candidates, shift, prune=None):
     c*y = -phi(h) lies in H, and for c = 0 only if h = 0. So a candidate
     costs at most d-1 lookups, and only an accepted one writes its cosets
     H + c*y.
-
-    ``prune(span, element_map)``, if given, sees each accepted extension
-    (its first ``span`` entries are set) and discards it by returning false.
     """
     last = len(factors) - 1
     if last < 0:
@@ -284,8 +281,6 @@ def iter_embeddings(factors, candidates, shift, prune=None):
             else:
                 for c, step in enumerate(shifts, 1):
                     emap[c * span:(c + 1) * span] = map(step, head)
-                if prune is not None and not prune(span * d, emap):
-                    continue
                 images.append(y)
                 if level == last:
                     yield tuple(images), tuple(emap)

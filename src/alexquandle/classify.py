@@ -228,18 +228,15 @@ def predicted_counts(n: int):
     """Closed-form (distinct, connected) predictions, None when unknown.
 
     Primes p give (p - 1, p - 2); prime squares give a connected count of
-    2p^2 - 3p - 1 with no distinct-count formula; orders with at least two
-    prime factors read the counts of classify_order, which multiplies the
-    per-prime-power classes (a sum is connected exactly when every summand
-    is). Returns None for p^e with e >= 3, and None in a slot with no
-    formula.
+    2p^2 - 3p - 1 with no distinct-count formula. Returns None for p^e
+    with e >= 3 and for orders with two or more prime factors, and None in
+    a slot with no formula.
     """
     if n < 2:
         raise ValueError(f"no prediction for order {n}")
     fact = factorize(n)
     if len(fact) > 1:
-        report = classify_order(n)
-        return (report.distinct_count, report.connected_count)
+        return None
     ((p, e),) = fact.items()
     if e == 1:
         return (p - 1, p - 2)

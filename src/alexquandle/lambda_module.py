@@ -164,9 +164,8 @@ class LambdaModule:
     @cached_property
     def _memo(self) -> dict:
         """Im(1-t) submodules, the certificate, the isomorphism key, element
-        orders and t-orbit lengths, and the t-module generators (with the
-        pool they come from, on an Im(1-t) module), kept as long as the
-        module."""
+        orders and t-orbit lengths, and on an Im(1-t) module the pool its
+        t-module generators are drawn from, kept as long as the module."""
         return {}
 
     def one_minus_t(self, x: int) -> int:
@@ -493,64 +492,29 @@ def lambda_iso(m: LambdaModule, n: LambdaModule):
     return _t_generator_search(m, n)
 
 
-def _t_generators(module: LambdaModule) -> tuple[int, ...]:
-    """Generators of the module under t and addition, chosen greedily.
-
-    The pool is every element, or for an Im(1-t) submodule the images of
-    its parent's group generators (see ``image_one_minus_t``). Pool
-    elements are taken by largest additive order, then longest t-orbit,
-    then smallest index, skipping those already in the span of the
-    chosen ones. A linear or polynomial module keeps its generator 1,
-    and its Im(1-t) the image of 1.
-    """
-    memo = module._memo
-    if "t_generators" not in memo:
-        size, add, t = module.order, module.group.add, module.t
-        orders, orbits = _element_profile(module)
-        pool = memo.get("generator_pool", range(1, size))
-        inside = [False] * size
-        inside[0] = True
-        span = [0]
-        gens = []
-        for x in sorted(pool, key=lambda x: (-orders[x], -orbits[x], x)):
-            if len(span) == size:
-                break
-            if inside[x]:
-                continue
-            gens.append(x)
-            g = x
-            for _ in range(orbits[x]):  # span + <g> for g = x, tx, t^2 x, ...
-                multiples = []
-                cg = g
-                while not inside[cg]:
-                    multiples.append(cg)
-                    cg = add(cg, g)
-                head = span[:]
-                for c in multiples:
-                    for h in head:
-                        z = add(h, c)
-                        inside[z] = True
-                        span.append(z)
-                g = t(g)
-        memo["t_generators"] = tuple(gens)
-    return memo["t_generators"]
-
-
 def _t_generator_search(m: LambdaModule, n: LambdaModule):
     """A t-commuting additive bijection m -> n, found without isomorphism keys.
 
-    A map is fixed by the images of the generators of ``_t_generators(m)``.
+    A map is fixed by its images of a few elements that generate m under t
+    and addition. They come from a pool: every nonzero element, or for an
+    Im(1-t) submodule the images of its parent's group generators (see
+    ``image_one_minus_t``), taken by largest additive order, then longest
+    t-orbit, then smallest index. The partial map phi is defined on a
+    subgroup H of m, and the next generator is the first pool element
+    outside H. H does not depend on the images chosen, so neither do the
+    generators; a linear or polynomial module needs one, its 1, and its
+    Im(1-t) the image of 1.
+
     Each generator x tries, in ascending order, the images y in n of the
-    same additive order and t-orbit length. The partial map phi, defined
-    on a subgroup H of m, is extended along x, tx, t^2 x, ... one element
-    g at a time to H + <g>, sending h + c*g to phi(h) + c*g' with g' the
-    image of g (t^k x goes to t^k y). Writing d for the order of g modulo
-    H, the extension is well defined exactly when d*g' = phi(d*g) (else a
-    relation clash) and injective exactly when c*g' lies outside phi(H)
-    for c = 1, ..., d-1 (else an injectivity clash). A clash rejects y
-    and undoes its extensions. Once every generator has an image the map
-    is defined on all of m; it commutes with t because phi(t^k x) is
-    t^k y for every generator x.
+    same additive order and t-orbit length. phi is extended along x, tx,
+    t^2 x, ... one element g at a time to H + <g>, sending h + c*g to
+    phi(h) + c*g' with g' the image of g (t^k x goes to t^k y). Writing d
+    for the order of g modulo H, the extension is well defined exactly
+    when d*g' = phi(d*g) (else a relation clash) and injective exactly
+    when c*g' lies outside phi(H) for c = 1, ..., d-1 (else an
+    injectivity clash). A clash rejects y and undoes its extensions. Once
+    H is all of m the map is defined everywhere; it commutes with t
+    because phi(t^k x) is t^k y for every generator x.
     """
     if m.order != n.order or module_certificate(m) != module_certificate(n):
         return None
@@ -559,11 +523,13 @@ def _t_generator_search(m: LambdaModule, n: LambdaModule):
     tm, tn = m.t_action.element_map, n.t_action.element_map
     orders_m, orbits_m = _element_profile(m)
     orders_n, orbits_n = _element_profile(n)
-    gens = _t_generators(m)
-    cand = [
-        [y for y in range(1, size) if orders_n[y] == orders_m[x] and orbits_n[y] == orbits_m[x]]
-        for x in gens
-    ]
+    pool = m._memo.get("generator_pool", range(1, size))
+    pool = sorted(pool, key=lambda x: (-orders_m[x], -orbits_m[x], x))
+    cand = {(orders_m[x], orbits_m[x]): [] for x in pool}
+    for y in range(1, size):
+        key = (orders_n[y], orbits_n[y])
+        if key in cand:
+            cand[key].append(y)
     phi = [-1] * size
     phi[0] = 0
     taken = [False] * size
@@ -598,23 +564,24 @@ def _t_generator_search(m: LambdaModule, n: LambdaModule):
             phi[z] = -1
         del domain[mark:]
 
-    def rec(level: int) -> bool:
-        if level == len(gens):
+    def rec() -> bool:
+        if len(domain) == size:
             return True
-        x, mark = gens[level], len(domain)
-        for y in cand[level]:
+        x = next(x for x in pool if phi[x] < 0)
+        mark = len(domain)
+        for y in cand[orders_m[x], orbits_m[x]]:
             g, g2 = x, y
             for _ in range(orbits_m[x]):
                 if not extend(g, g2):
                     break
                 g, g2 = tm[g], tn[g2]
             else:
-                if rec(level + 1):
+                if rec():
                     return True
             undo(mark)
         return False
 
-    return tuple(phi) if rec(0) else None
+    return tuple(phi) if rec() else None
 
 
 def _integer_roots(order: int):

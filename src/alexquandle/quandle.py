@@ -289,19 +289,6 @@ def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
     return lambda_iso(sub_m.as_module, sub_n.as_module) is not None
 
 
-def _validate_submodule_witness(a: LambdaModule, b: LambdaModule, h) -> None:
-    size = a.order
-    h = tuple(h)
-    if len(h) != size or b.order != size or sorted(h) != list(range(size)):
-        raise ValueError("h is not a bijection between the submodules")
-    for x in range(size):
-        if h[a.t(x)] != b.t(h[x]):
-            raise ValueError("h does not commute with t")
-        for y in range(x, size):
-            if h[a.group.add(x, y)] != b.group.add(h[x], h[y]):
-                raise ValueError("h is not additive")
-
-
 def _coset_of(group, members):
     """coset_of[x] is the smallest element of the coset x + members."""
     coset_of = [-1] * group.order
@@ -312,14 +299,14 @@ def _coset_of(group, members):
     return coset_of
 
 
-def construct_quandle_iso(m: LambdaModule, n: LambdaModule, h=None) -> IsoWitness:
+def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness:
     """Build an explicit table bijection from a submodule isomorphism.
 
-    h maps indices of image_one_minus_t(m).as_module to indices of
-    image_one_minus_t(n).as_module; when omitted one is searched for.
-    Writing I = Im(1-t), the map is f(alpha + w) = k(alpha) + h(w) for
-    each coset representative alpha of M/I and w in I, where k(alpha) is
-    any beta with (1-t)beta = h((1-t)alpha) whose coset is not yet taken.
+    h is the map ``lambda_iso`` finds from image_one_minus_t(m).as_module
+    to image_one_minus_t(n).as_module. Writing I = Im(1-t), the map is
+    f(alpha + w) = k(alpha) + h(w) for each coset representative alpha of
+    M/I and w in I, where k(alpha) is any beta with
+    (1-t)beta = h((1-t)alpha) whose coset is not yet taken.
     Representatives are served in ascending order, each with the first
     such beta in ascending order; the result is verified before return.
 
@@ -335,13 +322,9 @@ def construct_quandle_iso(m: LambdaModule, n: LambdaModule, h=None) -> IsoWitnes
         raise ValueError("modules have different orders")
     sub_m = image_one_minus_t(m)
     sub_n = image_one_minus_t(n)
+    h = lambda_iso(sub_m.as_module, sub_n.as_module)
     if h is None:
-        h = lambda_iso(sub_m.as_module, sub_n.as_module)
-        if h is None:
-            raise ValueError("Im(1-t) submodules are not isomorphic")
-    else:
-        h = tuple(h)
-        _validate_submodule_witness(sub_m.as_module, sub_n.as_module, h)
+        raise ValueError("Im(1-t) submodules are not isomorphic")
     hmap = dict(zip(sub_m.from_abstract, (sub_n.from_abstract[j] for j in h)))
 
     coset_of_m = _coset_of(m.group, sub_m.member_indices)

@@ -188,9 +188,9 @@ def test_predicted_counts():
     assert predicted_counts(7) == (6, 5)
     assert predicted_counts(4) == (None, 1)
     assert predicted_counts(9) == (None, 8)
-    assert predicted_counts(6) == (2, 0)
-    assert predicted_counts(12) == (6, 1)
-    assert predicted_counts(15) == (8, 3)
+    assert predicted_counts(6) is None
+    assert predicted_counts(12) is None
+    assert predicted_counts(15) is None
     assert predicted_counts(8) is None
     assert predicted_counts(27) is None
     with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from alexquandle.lambda_module import (
     module_from_pair,
     module_from_polynomial,
 )
+from alexquandle import quandle
 from alexquandle.classify import enumerate_structures
 from alexquandle.quandle import (
     QuandleTable,
@@ -239,39 +240,59 @@ def test_construct_iso_witnesses_every_isomorphic_pair_up_to_12():
     assert pairs == 3890
 
 
-def test_construct_iso_accepts_explicit_submodule_map():
-    m = linear_module(8, 3)
-    n = linear_module(8, 7)
-    h = lambda_iso(image_one_minus_t(m).as_module, image_one_minus_t(n).as_module)
-    assert h is not None
-    w = construct_quandle_iso(m, n, h)
-    assert is_quandle_iso(alexander_table(m), alexander_table(n), w.map)
-    size = len(h)
-    if size > 1:
-        broken = list(h)
-        broken[0], broken[1] = broken[1], broken[0]
-        with pytest.raises(ValueError):
-            construct_quandle_iso(m, n, tuple(broken))
-    # every submodule isomorphism works, not only the one lambda_iso finds:
-    # h followed by each t-commuting automorphism of the target's Im(1-t)
-    checked = 0
-    for order in range(1, 9):
+def submodule_isomorphisms(max_order):
+    """(left, right, h) for every equal-order pair of structures up to
+    max_order with isomorphic Im(1-t), h the map lambda_iso finds."""
+    for order in range(1, max_order + 1):
         mods = enumerate_structures(order)
-        tables = [alexander_table(m) for m in mods]
         for i, j in itertools.combinations_with_replacement(range(len(mods)), 2):
             source = image_one_minus_t(mods[i]).as_module
             target = image_one_minus_t(mods[j]).as_module
             h = lambda_iso(source, target)
-            if h is None:
+            if h is not None:
+                yield mods[i], mods[j], h
+
+
+def test_construct_iso_accepts_explicit_submodule_map(monkeypatch):
+    # every submodule isomorphism works, not only the one lambda_iso finds:
+    # h followed by each t-commuting automorphism of the target's Im(1-t),
+    # handed to construct_quandle_iso in place of lambda_iso's answer
+    fed = [None]
+    monkeypatch.setattr(quandle, "lambda_iso", lambda a, b: fed[0])
+    checked = 0
+    for m, n, h in submodule_isomorphisms(8):
+        target = image_one_minus_t(n).as_module
+        tm, tn = alexander_table(m), alexander_table(n)
+        for a in enumerate_automorphisms(target.group):
+            emap = a.element_map
+            if any(emap[target.t(x)] != target.t(emap[x]) for x in range(target.order)):
                 continue
-            for a in enumerate_automorphisms(target.group):
-                emap = a.element_map
-                if any(emap[target.t(x)] != target.t(emap[x]) for x in range(target.order)):
-                    continue
-                w = construct_quandle_iso(mods[i], mods[j], tuple(emap[y] for y in h))
-                assert is_iso_oracle(tables[i], tables[j], w.map)
-                checked += 1
+            fed[0] = tuple(emap[y] for y in h)
+            w = construct_quandle_iso(m, n)
+            assert is_iso_oracle(tm, tn, w.map)
+            checked += 1
     assert checked == 11432
+
+
+def test_construct_iso_verifies_a_broken_submodule_map(monkeypatch):
+    # with h(0) and h(1) swapped h is no submodule isomorphism; the
+    # construction then fails its own check, or by chance still builds a
+    # quandle isomorphism, which the oracle confirms
+    fed = [None]
+    monkeypatch.setattr(quandle, "lambda_iso", lambda a, b: fed[0])
+    raised = valid = 0
+    for m, n, h in submodule_isomorphisms(8):
+        if len(h) < 2:
+            continue
+        fed[0] = (h[1], h[0], *h[2:])
+        try:
+            w = construct_quandle_iso(m, n)
+        except RuntimeError:
+            raised += 1
+        else:
+            assert is_iso_oracle(alexander_table(m), alexander_table(n), w.map)
+            valid += 1
+    assert (raised, valid) == (2875, 715)
 
 
 def test_construct_iso_rejects_non_isomorphic_pair():
