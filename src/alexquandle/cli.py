@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -163,8 +164,11 @@ def _emit_table(table: QuandleTable, args) -> None:
     else:
         out = json.dumps(table_to_json_dict(table)) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
     elif not hasattr(sys.stdout, "buffer"):
         # a text-only stream, such as io.StringIO, has no raw file behind it
         sys.stdout.write(out)
@@ -383,7 +387,10 @@ def _cmd_table2(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one;
+    each parse_args call fills a fresh namespace from its defaults."""
     parser = argparse.ArgumentParser(
         prog="alexquandle",
         description="Finite Alexander quandles: build, test, classify.",

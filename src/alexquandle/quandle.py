@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .lambda_module import (
     LambdaModule,
@@ -109,26 +109,27 @@ def check_axioms(table: QuandleTable):
 
 
 def orbits(table: QuandleTable) -> list[list[int]]:
-    """Connected components under x -> x ^ y and its inverses, sorted."""
+    """Connected components under x -> x ^ y and its inverses, sorted.
+
+    The table must satisfy axiom (i): every right translation z -> z ^ y
+    is a permutation. Its inverse is then one of its powers, so an orbit
+    is the forward closure of its smallest element, grown by whole rows
+    (row z lists every z ^ y).
+    """
     rows = table.rows
-    n = table.order
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in range(n):
-        for y in range(n):
-            a, b = find(x), find(rows[x][y])
-            if a != b:
-                parent[b] = a
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values())
+    seen: set[int] = set()
+    out = []
+    for x in range(table.order):
+        if x in seen:
+            continue
+        orb, frontier = {x}, [x]
+        while frontier:
+            new = set(rows[frontier.pop()]) - orb
+            orb |= new
+            frontier.extend(new)
+        seen |= orb
+        out.append(sorted(orb))
+    return out
 
 
 def is_connected(table: QuandleTable) -> bool:
@@ -165,6 +166,8 @@ def is_quandle_iso(t1: QuandleTable, t2: QuandleTable, mapping) -> bool:
 
 
 def _element_profiles(table: QuandleTable):
+    """Per element e: (orbit size, fixed points of y -> y ^ e, number of y
+    with e ^ y = e, cycle type of y -> y ^ e), each kept by isomorphisms."""
     rows = table.rows
     n = table.order
     orbit_size = [0] * n
@@ -172,10 +175,10 @@ def _element_profiles(table: QuandleTable):
         for x in orb:
             orbit_size[x] = len(orb)
     profiles = []
-    for e in range(n):
-        col_fix = sum(1 for x in range(n) if rows[x][e] == x)
-        row_fix = sum(1 for y in range(n) if rows[e][y] == e)
-        # cycle type of the right translation by e
+    for e, col in enumerate(zip(*rows)):
+        # col is the right translation by e: col[x] = x ^ e
+        col_fix = sum(map(eq, col, range(n)))
+        row_fix = rows[e].count(e)
         seen = [False] * n
         lengths = []
         for start in range(n):
@@ -185,7 +188,7 @@ def _element_profiles(table: QuandleTable):
             while not seen[x]:
                 seen[x] = True
                 ln += 1
-                x = rows[x][e]
+                x = col[x]
             lengths.append(ln)
         profiles.append((orbit_size[e], col_fix, row_fix, tuple(sorted(lengths))))
     return profiles
@@ -207,12 +210,12 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
     p1, p2 = _element_profiles(t1), _element_profiles(t2)
     if sorted(p1) != sorted(p2):
         return None
-    cand = []
-    for x in range(n):
-        cs = tuple(u for u in range(n) if p2[u] == p1[x])
-        if not cs:
-            return None
-        cand.append(cs)
+    # the elements of t2 with each profile, ascending; every profile of t1
+    # is among them since the sorted profiles agree
+    by_profile: dict[tuple, list[int]] = {}
+    for u, p in enumerate(p2):
+        by_profile.setdefault(p, []).append(u)
+    cand = [by_profile[p] for p in p1]
     order = sorted(range(n), key=lambda x: (len(cand[x]), x))
     r1, r2 = t1.rows, t2.rows
     # image[x] is the image of x once chosen or forced; known lists the

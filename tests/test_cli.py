@@ -52,6 +52,14 @@ def test_build_into_text_only_stdout():
     assert (code, out.getvalue()) == (0, "0 2 1\n2 1 0\n1 0 2\n")
 
 
+def test_unwritable_output_exits_3(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "t.json"
+    for command in ("build", "dual"):
+        code, out, err = run(capsys, [command, "linear:4:1", "-o", str(path)])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"invalid input: cannot write {path}: ")
+
+
 def test_axioms_pass_and_fail(capsys, tmp_path):
     code, out, _ = run(capsys, ["axioms", "poly:2:1,1,1"])
     assert (code, out) == (0, "pass\n")
@@ -95,6 +103,61 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_repeated_calls_share_no_parser_state(capsys):
+    # the parser is built once per process; each call must still start
+    # from the defaults, whatever the call before it set
+    code, out, _ = run(capsys, ["iso", "linear:9:4", "linear:9:7", "--witness"])
+    assert code == 0 and len(out.splitlines()) == 2
+    assert run(capsys, ["iso", "linear:9:4", "linear:9:7"])[:2] == (0, "true\n")
+
+    code, out, _ = run(capsys, ["build", "linear:3:2", "--format", "text"])
+    assert out == "0 2 1\n2 1 0\n1 0 2\n"
+    code, out, _ = run(capsys, ["build", "linear:3:2"])
+    assert json.loads(out) == {"order": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}
+
+    code, out, _ = run(capsys, ["classify", "5", "--connected-only"])
+    assert (code, len(out.splitlines())) == (0, 4)
+    code, out, _ = run(capsys, ["classify", "5"])
+    assert (code, len(out.splitlines())) == (0, 5)
+
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, ["linear", "ncap", "9", "4"]) == (0, "3\n", "")
+
+
+def test_import_builds_no_parser():
+    # count ArgumentParsers in a fresh interpreter: none on import, some on
+    # the first call, no more on the second
+    script = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import alexquandle.cli as cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    cli.main(['linear', 'ncap', '9', '4'])\n"
+        "    counts.append(len(built))\n"
+        "print(*counts, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, first, second = map(int, proc.stderr.split())
+    assert before == 0
+    assert first > 0
+    assert second == first
 
 
 def test_parse_spec_positions():

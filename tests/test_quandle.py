@@ -1,5 +1,8 @@
 """Tests for Cayley tables: axioms, orbits, duals, and the two deciders."""
 
+import contextlib
+import hashlib
+import io
 import itertools
 import random
 import sys
@@ -9,15 +12,18 @@ import pytest
 from alexquandle.abelian import GroupAutomorphism, enumerate_automorphisms
 from alexquandle.lambda_module import (
     Polynomial,
+    descriptor_str,
     direct_sum,
     image_one_minus_t,
     lambda_iso,
     linear_module,
     module_from_pair,
     module_from_polynomial,
+    named_candidates,
 )
 from alexquandle import quandle
 from alexquandle.classify import enumerate_structures
+from alexquandle.cli import main
 from alexquandle.quandle import (
     QuandleTable,
     alexander_table,
@@ -129,6 +135,101 @@ def test_is_connected_matches_orbit_count():
         for m in enumerate_structures(n):
             tab = alexander_table(m)
             assert is_connected(tab) == (len(orbits(tab)) == 1)
+
+
+def union_find_orbits(table):
+    """Orbits by joining x and x ^ y in a union-find, one cell at a time."""
+    rows = table.rows
+    n = table.order
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x in range(n):
+        for y in range(n):
+            a, b = find(x), find(rows[x][y])
+            if a != b:
+                parent[b] = a
+    groups = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return sorted(groups.values())
+
+
+def nested_loop_profiles(table):
+    """Element profiles read one cell at a time."""
+    rows = table.rows
+    n = table.order
+    orbit_size = [0] * n
+    for orb in union_find_orbits(table):
+        for x in orb:
+            orbit_size[x] = len(orb)
+    profiles = []
+    for e in range(n):
+        col_fix = sum(1 for x in range(n) if rows[x][e] == x)
+        row_fix = sum(1 for y in range(n) if rows[e][y] == e)
+        seen = [False] * n
+        lengths = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            ln, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                ln += 1
+                x = rows[x][e]
+            lengths.append(ln)
+        profiles.append((orbit_size[e], col_fix, row_fix, tuple(sorted(lengths))))
+    return profiles
+
+
+def test_orbits_and_profiles_match_cell_by_cell_oracles():
+    checked = 0
+    for n in range(1, 19):
+        for _, m in named_candidates(n):
+            tab = alexander_table(m)
+            for t in (tab, dual(tab)):
+                assert orbits(t) == union_find_orbits(t)
+                assert quandle._element_profiles(t) == nested_loop_profiles(t)
+                checked += 1
+    assert checked > 400
+
+
+def test_iso_both_witness_output_is_pinned():
+    # the answers and brute witnesses of orders 13 and 14, as digests taken
+    # while the profiles were still read cell by cell
+    digest = hashlib.sha256()
+    pairs = 0
+    for n in (13, 14):
+        specs = [descriptor_str(d) for d, _ in named_candidates(n)]
+        for a, b in itertools.combinations_with_replacement(specs, 2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["iso", a, b, "--method", "both", "--witness"])
+            digest.update(f"{a} {b} {code}\n{out.getvalue()}".encode())
+            pairs += 1
+    assert (pairs, digest.hexdigest()) == (
+        156,
+        "4aaa57ef6ba3a04f30223f920ee3ef42402e787c0586893c1f31a84e6069c1b1",
+    )
+
+    # the answers above come out the same with every candidate list
+    # reversed, so the search's choices are pinned on relabelled copies too
+    digest = hashlib.sha256()
+    rng = random.Random(14)
+    for n in (13, 14):
+        for _, m in named_candidates(n):
+            tab = alexander_table(m)
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            digest.update(repr(brute_iso(tab, relabel(tab, sigma)).map).encode())
+    assert digest.hexdigest() == (
+        "231de522cd2304622bc2a099a860662206e231ea30412ffef9b197d8835e71ce"
+    )
 
 
 def test_dual_is_involution_and_inverts_t():
