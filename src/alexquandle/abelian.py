@@ -232,6 +232,31 @@ class AbelianGroup:
             p *= d
         return tuple(rows)
 
+    def addition_row(self, z: int) -> tuple[int, ...]:
+        """Row z of the addition table, ``row[x] == self.add(z, x)``.
+
+        Built one factor at a time, without calling ``add``. With p the
+        order of the factors so far, z's coordinate c in a factor Z_d
+        rotates the offsets p*0, ..., p*(d-1) left by c; the first
+        factor's row is those offsets, and each later factor repeats the
+        row so far once per offset, shifted by it.
+
+        >>> AbelianGroup((2, 4)).addition_row(3)
+        (3, 2, 5, 4, 7, 6, 1, 0)
+        """
+        row: tuple[int, ...] = (0,)
+        p = 1
+        for d in self.invariant_factors:
+            z, c = divmod(z, d)
+            offsets = range(0, p * d, p)
+            rotated = chain(offsets[c:], offsets[:c])
+            if p == 1:
+                row = tuple(rotated)
+            else:
+                row = tuple(chain.from_iterable(map(k.__add__, row) for k in rotated))
+            p *= d
+        return row
+
     def element_order(self, x: int) -> int:
         order = 1
         for d in self.invariant_factors:

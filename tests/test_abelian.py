@@ -138,6 +138,7 @@ def test_addition_table_matches_add():
             assert len(rows) == n
             for z in g.elements():
                 assert len(rows[z]) == n
+                assert g.addition_row(z) == rows[z]
                 for x in g.elements():
                     assert rows[z][x] == g.add(z, x)
 

@@ -20,6 +20,7 @@ from alexquandle.lambda_module import (
     module_from_pair,
     module_from_polynomial,
     named_candidates,
+    trivial_module,
 )
 from alexquandle import quandle
 from alexquandle.classify import enumerate_structures
@@ -394,6 +395,105 @@ def test_construct_iso_verifies_a_broken_submodule_map(monkeypatch):
             assert is_iso_oracle(alexander_table(m), alexander_table(n), w.map)
             valid += 1
     assert (raised, valid) == (2875, 715)
+
+
+def generator_check_agreement(seed=32):
+    """(maps, isomorphisms) over witnesses, two-entry swaps of them and
+    random bijections between named modules of orders 2 to 32, each map
+    checked by quandle._carries_quandle and by is_quandle_iso over both
+    full tables, which must agree."""
+    rng = random.Random(seed)
+    maps = isos = 0
+    for order in range(2, 33):
+        mods = [m for _, m in named_candidates(order)]
+        tables = [alexander_table(m) for m in mods]
+        for i, m in enumerate(mods):
+            for j in sorted({i, rng.randrange(len(mods))}):
+                n = mods[j]
+                trials = [rng.sample(range(order), order) for _ in range(2)]
+                if theorem1_iso(m, n):
+                    w = list(construct_quandle_iso(m, n).map)
+                    trials.append(w)
+                    for _ in range(3):
+                        a, b = rng.sample(range(order), 2)
+                        swapped = w[:]
+                        swapped[a], swapped[b] = w[b], w[a]
+                        trials.append(swapped)
+                for f in trials:
+                    verdict = is_quandle_iso(tables[i], tables[j], f)
+                    assert quandle._carries_quandle(m, n, f) == verdict, (m, n, f)
+                    maps += 1
+                    isos += verdict
+    return maps, isos
+
+
+def test_generator_check_agrees_with_full_tables():
+    assert generator_check_agreement() == (6272, 1262)
+
+
+def test_agreement_test_catches_a_check_on_zero_alone(monkeypatch):
+    monkeypatch.setattr(quandle, "_generators", lambda module, column: [0])
+    with pytest.raises(AssertionError):
+        generator_check_agreement()
+
+
+def closure_oracle(table, elements):
+    """The subquandle generated by elements: closed under ^ and its
+    inverse between any two members, grown until nothing is added."""
+    rows, inverse = table.rows, dual(table).rows
+    members = set(elements)
+    while True:
+        grown = {r[x][y] for r in (rows, inverse) for x in members for y in members}
+        if grown <= members:
+            return members
+        members |= grown
+
+
+def test_generators_are_greedy_and_generate_the_quandle():
+    checked = 0
+    for order in range(2, 25):
+        for _, m in named_candidates(order):
+            tab = alexander_table(m)
+            gens = quandle._generators(m, quandle._columns(m))
+            for i, s in enumerate(gens):
+                # s is the smallest element outside what the earlier ones generate
+                outside = set(range(order)) - closure_oracle(tab, gens[:i])
+                assert s == min(outside)
+            assert closure_oracle(tab, gens) == set(range(order))
+            checked += 1
+    assert checked == 376
+
+
+def test_generator_check_rejects_non_bijections_and_handles_order_one():
+    one = trivial_module()
+    assert quandle._carries_quandle(one, one, (0,))
+    assert not quandle._carries_quandle(one, one, (1,))
+    assert not quandle._carries_quandle(one, one, ())
+    m, n = linear_module(9, 4), linear_module(9, 7)
+    w = construct_quandle_iso(m, n).map
+    assert quandle._carries_quandle(m, n, w)
+    assert not quandle._carries_quandle(m, n, (w[1],) + w[1:])  # w[1] twice
+    assert not quandle._carries_quandle(m, n, w[:8])
+    assert not quandle._carries_quandle(m, n, w + (9,))
+    assert not quandle._carries_quandle(m, linear_module(3, 2), w)
+    assert not quandle._carries_quandle(m, n, tuple(x + 1 for x in w))
+
+
+def test_theorem1_witnesses_are_pinned():
+    # sha256 of every witness between isomorphic equal-order named modules
+    # of orders 2 to 24, taken while witnesses were checked on full tables
+    digest = hashlib.sha256()
+    pairs = 0
+    for order in range(2, 25):
+        mods = [m for _, m in named_candidates(order)]
+        for a, b in itertools.combinations_with_replacement(mods, 2):
+            if theorem1_iso(a, b):
+                digest.update(repr(construct_quandle_iso(a, b).map).encode())
+                pairs += 1
+    assert (pairs, digest.hexdigest()) == (
+        660,
+        "4c28af4a3d842c99fec5dbf95b2f22df191cdc8bb1473d5c7f217a554b512099",
+    )
 
 
 def test_construct_iso_rejects_non_isomorphic_pair():
