@@ -323,13 +323,17 @@ class GroupAutomorphism:
     The public constructor validates: it checks well-definedness (the
     image of an order-d generator must have order dividing d) and
     bijectivity, and builds the full element map additively. Parsed
-    input, ``pair`` descriptors and recoordinatization go through it.
+    input and ``pair`` descriptors go through it.
 
-    ``iter_automorphisms`` builds through the trusted ``_trusted`` path
-    instead, which takes the element map as given. That is sound because
-    the enumerator only draws generator images from elements of admissible
+    ``iter_automorphisms`` and the recoordinatization of Im(1-t) and
+    direct sums build through the trusted ``_trusted`` path instead, which
+    takes the element map as given. That is sound for the enumerator
+    because it only draws generator images from elements of admissible
     order and only keeps a map after proving it injective on every span it
-    extends, which is exactly what validation would re-check.
+    extends, which is exactly what validation would re-check. It is sound
+    for recoordinatization because t is carried along an additive
+    bijection onto a t-invariant set, so the carried map is additive and
+    bijective (see ``lambda_module._recoordinatize``).
     """
 
     group: AbelianGroup

@@ -221,7 +221,17 @@ def _recoordinatize(members, add, t, element_order):
     members live in, which is cheaper than adding x to itself. Returns
     (module, from_abstract) where module has invariant-factor coordinates
     and from_abstract[i] is the member with abstract index i. t is
-    transported along.
+    transported along; members must be closed under t.
+
+    One ``iter_embeddings`` search picks a basis, largest factor first
+    (smallest first would backtrack, e.g. on Z2+Z4 when the order-2 pick
+    lies in the cyclic part), and its map, indexed with the factors
+    reversed, is read in target order by a mixed-radix digit reversal.
+    That map is injective and additive, and its image is checked to be
+    the member set, so from_abstract is an additive bijection onto a
+    t-invariant set. The transported t, i -> to_abstract[t(from_abstract[i])],
+    is therefore additive and bijective, an automorphism, and is wrapped
+    by ``GroupAutomorphism._trusted`` without validation.
     """
     members = sorted(members)
     if members[0] != 0:
@@ -238,17 +248,22 @@ def _recoordinatize(members, add, t, element_order):
     shift = lambda z: partial(add, z)
     cand = [tuple(g for g in members if orders[g] == d) for d in desc]
     found = next(iter_embeddings(desc, cand, shift), None)
-    if found is None:
-        raise ValueError("member set is not closed under the given addition")
-    basis = list(reversed(found[0]))
-
-    group = AbelianGroup(target)
-    found = next(iter_embeddings(target, [(b,) for b in basis], shift), None)
     if found is None or set(found[1]) != set(members):
         raise ValueError("member set is not closed under the given addition")
-    from_abstract = found[1]
-    t_images = tuple(from_abstract.index(t(b)) for b in basis)
-    taut = GroupAutomorphism(group, t_images)
+
+    # the element with target coordinates (c1, ..., ck) has desc
+    # coordinates (ck, ..., c1); the weight of ci there is d(i+1)*...*dk
+    perm, weight = [0], len(members)
+    for d in target:
+        weight //= d
+        perm = [p + c * weight for c in range(d) for p in perm]
+    from_abstract = tuple(map(found[1].__getitem__, perm))
+
+    to_abstract = {x: i for i, x in enumerate(from_abstract)}
+    t_map = tuple(to_abstract[t(x)] for x in from_abstract)
+    group = AbelianGroup(target)
+    t_images = tuple(t_map[e] for e in group.generator_indices())
+    taut = GroupAutomorphism._trusted(group, t_images, t_map)
     return LambdaModule(group, taut), from_abstract
 
 

@@ -250,6 +250,14 @@ def assert_module_isomorphism(members, add, t, abstract, from_abstract):
             assert to_abstract[add(x, y)] == abstract_add(ax, to_abstract[y])
 
 
+def assert_t_action_validates(module):
+    """The t-action built without validation is the map the validating
+    GroupAutomorphism constructor builds from the same generator images."""
+    t_action = module.t_action
+    rebuilt = GroupAutomorphism(module.group, t_action.generator_images)
+    assert t_action.element_map == rebuilt.element_map
+
+
 def test_recoordinatized_images_are_module_isomorphisms():
     for n in range(1, 13):
         for m in enumerate_structures(n):
@@ -261,9 +269,24 @@ def test_recoordinatized_images_are_module_isomorphisms():
                 to_abstract = invert(sub.from_abstract)
                 for x in sub.member_indices:
                     assert sub.from_abstract[to_abstract[x]] == x
+                assert_t_action_validates(sub.as_module)
+
+
+def _direct_sum_atoms():
+    atoms = [
+        linear_module(n, a) for n in range(2, 9) for a in range(1, n) if math.gcd(n, a) == 1
+    ]
+    return atoms + [
+        module_from_polynomial(Polynomial(2, (1, 1, 1))),
+        module_from_polynomial(Polynomial(2, (1, 1, 0, 1))),
+        module_from_polynomial(Polynomial(3, (2, 0, 1))),
+    ]
 
 
 def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
+    """Every recoordinatization inside direct_sum_all over pairs of atoms of
+    product at most 72 and triples of product at most 64; the triples reach
+    targets with three factor sizes, such as (2, 4, 8)."""
     calls = []
     recoordinatize = lambda_module._recoordinatize
 
@@ -273,28 +296,61 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
         return out
 
     monkeypatch.setattr(lambda_module, "_recoordinatize", recording)
-    atoms = [
-        linear_module(n, a) for n in range(2, 7) for a in range(1, n) if math.gcd(n, a) == 1
+    atoms = _direct_sum_atoms()
+    sums = [
+        pieces
+        for k, bound in ((2, 72), (3, 64))
+        for pieces in itertools.combinations_with_replacement(atoms, k)
+        if math.prod(m.order for m in pieces) <= bound
     ]
-    atoms += [
-        module_from_polynomial(Polynomial(2, (1, 1, 1))),
-        module_from_polynomial(Polynomial(2, (1, 1, 0, 1))),
-        module_from_polynomial(Polynomial(3, (2, 0, 1))),
-    ]
-    for m1, m2 in itertools.combinations_with_replacement(atoms, 2):
-        if m1.order * m2.order > 72:
-            continue
+    targets = set()
+    for pieces in sums:
         calls.clear()
-        s = direct_sum(m1, m2)
-        [(members, add, t, element_order, (abstract, from_abstract))] = calls
-        assert abstract == s
-        for x in members:  # the orders handed in are the additive orders
-            k, y = 1, x
-            while y != 0:
-                y = add(y, x)
-                k += 1
-            assert element_order(x) == k
-        assert_module_isomorphism(members, add, t, abstract, from_abstract)
+        s = direct_sum_all(pieces)
+        assert len(calls) == len(pieces) - 1
+        assert calls[-1][-1][0] == s
+        for members, add, t, element_order, (abstract, from_abstract) in calls:
+            for x in members:  # the orders handed in are the additive orders
+                k, y = 1, x
+                while y != 0:
+                    y = add(y, x)
+                    k += 1
+                assert element_order(x) == k
+            assert_module_isomorphism(members, add, t, abstract, from_abstract)
+            assert_t_action_validates(abstract)
+        targets.add(s.group.invariant_factors)
+    assert (2, 4, 8) in targets
+
+
+def test_recoordinatize_searches_once(monkeypatch):
+    """A recoordinatization runs one iter_embeddings search, and a trivial
+    member set none; the basis is indexed and t transported without
+    another."""
+    searches = []
+    iter_embeddings = lambda_module.iter_embeddings
+
+    def counting(*args):
+        searches.append(args[0])
+        return iter_embeddings(*args)
+
+    per_call = []
+    recoordinatize = lambda_module._recoordinatize
+
+    def recording(members, *rest):
+        before = len(searches)
+        out = recoordinatize(members, *rest)
+        per_call.append((len(members), len(searches) - before))
+        return out
+
+    monkeypatch.setattr(lambda_module, "iter_embeddings", counting)
+    monkeypatch.setattr(lambda_module, "_recoordinatize", recording)
+    for m in enumerate_structures(8) + enumerate_structures(12):
+        for power in (1, 2):
+            image_one_minus_t(m, power)
+    for m1, m2 in itertools.combinations_with_replacement(_direct_sum_atoms(), 2):
+        direct_sum(m1, m2)
+    assert sum(size > 1 for size, _ in per_call) > 300
+    assert all(count == (size > 1) for size, count in per_call)
 
 
 def test_certificate_is_isomorphism_invariant():
