@@ -154,9 +154,6 @@ class AbelianGroup:
             out.append(out[-1] * d)
         return tuple(out)
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def generator_indices(self) -> tuple[int, ...]:
         """Indices of the standard generators e_1, ..., e_k."""
         return self._prefix[:-1]
@@ -183,25 +180,6 @@ class AbelianGroup:
             out += ((x + y) % d) * p
             x //= d
             y //= d
-            p *= d
-        return out
-
-    def neg(self, x: int) -> int:
-        out, p = 0, 1
-        for d in self.invariant_factors:
-            out += ((d - x) % d) * p
-            x //= d
-            p *= d
-        return out
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def scale(self, c: int, x: int) -> int:
-        out, p = 0, 1
-        for d in self.invariant_factors:
-            out += ((c * x) % d) * p
-            x //= d
             p *= d
         return out
 
@@ -372,14 +350,6 @@ class GroupAutomorphism:
 
     def __call__(self, x: int) -> int:
         return self.element_map[x]
-
-    def compose(self, other: GroupAutomorphism) -> GroupAutomorphism:
-        """self after other: x -> self(other(x))."""
-        if other.group != self.group:
-            raise ValueError("cannot compose automorphisms of different groups")
-        m_s, m_o = self.element_map, other.element_map
-        images = tuple(m_s[m_o[e]] for e in self.group.generator_indices())
-        return GroupAutomorphism(self.group, images)
 
 
 def abelian_groups_of_order(n: int) -> list[AbelianGroup]:

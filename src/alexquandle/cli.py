@@ -266,18 +266,24 @@ def _cmd_im1t(args) -> int:
     module = parse_spec(args.spec)
     if not isinstance(module, LambdaModule):
         raise ValueError("im1t needs a module spec, not a table")
-    sub = image_one_minus_t(module, args.power)
+    sub = image_one_minus_t(module)
+    members, abstract = list(sub.member_indices), sub.as_module
+    if args.power == 2:
+        # (1-t)^2 M is the image of the abstract Im(1-t), read back into M
+        inner = image_one_minus_t(abstract)
+        members = sorted(map(sub.from_abstract.__getitem__, inner.member_indices))
+        abstract = inner.as_module
     info = {
-        "members": list(sub.member_indices),
-        "invariant_factors": list(sub.as_module.group.invariant_factors),
+        "members": members,
+        "invariant_factors": list(abstract.group.invariant_factors),
     }
     if args.identify:
-        desc = identify_as_quotient(sub.as_module)
+        desc = identify_as_quotient(abstract)
         info["identified"] = None if desc is None else descriptor_str(desc)
     if args.format == "json":
         print(json.dumps(info))
     else:
-        print("members:", " ".join(str(x) for x in sub.member_indices))
+        print("members:", " ".join(str(x) for x in members))
         print("group:", ",".join(str(d) for d in info["invariant_factors"]) or "1")
         if args.identify:
             print("identified:", info["identified"] or "none")

@@ -144,7 +144,11 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class LambdaModule:
-    """A finite abelian group with a distinguished automorphism t."""
+    """A finite abelian group with a distinguished automorphism t.
+
+    The quandle x ^ y = t(x) + (1-t)(y) reads two element maps, each built
+    once: ``t_action.element_map`` and ``one_minus_t_map``.
+    """
 
     group: AbelianGroup
     t_action: GroupAutomorphism
@@ -162,14 +166,37 @@ class LambdaModule:
         return self.t_action.element_map[x]
 
     @cached_property
-    def _memo(self) -> dict:
-        """Im(1-t) submodules, the certificate, the isomorphism key, element
-        orders and t-orbit lengths, and on an Im(1-t) module the pool its
-        t-module generators are drawn from, kept as long as the module."""
-        return {}
+    def one_minus_t_map(self) -> tuple[int, ...]:
+        """The element map of 1 - t: ``one_minus_t_map[x]`` is x - t(x).
 
-    def one_minus_t(self, x: int) -> int:
-        return self.group.sub(x, self.t(x))
+        Built additively, one standard generator e_i of order d at a time:
+        with p the order of the span of e_1, ..., e_(i-1), the element
+        h + c*p (h < p, c < d) goes to u[h] + c*u(e_i), each block the one
+        before it shifted by u(e_i) through an addition row. u(e_i) comes
+        from coordinates, which ``index_of`` reduces mod each factor.
+
+        >>> linear_module(5, 2).one_minus_t_map
+        (0, 4, 3, 2, 1)
+        """
+        g = self.group
+        t = self.t_action.element_map
+        u = [0]
+        for d, e in zip(g.invariant_factors, g.generator_indices()):
+            ue = g.index_of(tuple(map(int.__sub__, g.coords(e), g.coords(t[e]))))
+            shift = g.addition_row(ue).__getitem__
+            block = u
+            for _ in range(1, d):
+                block = list(map(shift, block))
+                u.extend(block)
+        return tuple(u)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Im(1-t), the certificate, the isomorphism key, element orders
+        and t-orbit lengths, and on an Im(1-t) module the pool its t-module
+        generators are drawn from, kept as long as the module (the 1 - t
+        map is memoised beside it, as ``one_minus_t_map``)."""
+        return {}
 
 
 def trivial_module() -> LambdaModule:
@@ -302,7 +329,7 @@ def direct_sum_all(modules) -> LambdaModule:
 
 @dataclass(eq=False)
 class Submodule:
-    """Im(1-t)^k inside a parent module, with its abstract normal form.
+    """Im(1-t) inside a parent module, with its abstract normal form.
 
     from_abstract[i] is the parent element with index i in as_module; it
     is an additive bijection onto member_indices that commutes with t.
@@ -313,31 +340,27 @@ class Submodule:
     from_abstract: tuple[int, ...]
 
 
-def image_one_minus_t(module: LambdaModule, power: int = 1) -> Submodule:
-    """The submodule (1-t)^power M, with a canonical abstract copy.
+def image_one_minus_t(module: LambdaModule) -> Submodule:
+    """The submodule (1-t)M, with a canonical abstract copy.
 
-    power may be 1 or 2.
+    The members are the values of the module's ``one_minus_t_map``.
+    (1-t)^2 M is the image of the abstract copy's own 1 - t, read back
+    into M through this submodule's ``from_abstract``.
     """
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    key = ("image", power)
     memo = module._memo
-    if key not in memo:
-        # (1-t)^power is additive, so the images of the group generators
-        # span the image; for a t-cyclic module such as a linear or
-        # polynomial one, the image of its generator 1 alone generates
-        # the image under t
-        xs, gens = range(module.order), module.group.generator_indices()
-        for _ in range(power):
-            xs = {module.one_minus_t(x) for x in xs}
-            gens = [module.one_minus_t(e) for e in gens]
-        members = tuple(sorted(xs))
+    if "image" not in memo:
+        u = module.one_minus_t_map
+        members = tuple(sorted(set(u)))
         # a member's order in the submodule is its order in the whole group
         g = module.group
         abstract, from_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
+        # 1 - t is additive, so the images of the group generators span
+        # the image; for a t-cyclic module such as a linear or polynomial
+        # one, the image of its generator 1 alone generates it under t
+        gens = (u[e] for e in g.generator_indices())
         abstract._memo["generator_pool"] = tuple(map(from_abstract.index, gens))
-        memo[key] = Submodule(members, abstract, from_abstract)
-    return memo[key]
+        memo["image"] = Submodule(members, abstract, from_abstract)
+    return memo["image"]
 
 
 def _orbit_lengths(perm) -> list[int]:
@@ -378,8 +401,9 @@ def module_certificate(module: LambdaModule) -> tuple:
     ``isomorphism_key``.
     """
     if "certificate" not in module._memo:
-        im1 = {module.one_minus_t(x) for x in range(module.order)}
-        im2 = {module.one_minus_t(x) for x in im1}
+        u = module.one_minus_t_map
+        im1 = set(u)
+        im2 = set(map(u.__getitem__, im1))
         orders, orbits = _element_profile(module)
         im1_factors = invariant_factors_from_element_orders([orders[x] for x in im1])
         factors = module.group.invariant_factors

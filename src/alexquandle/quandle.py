@@ -65,7 +65,7 @@ def alexander_table(module: LambdaModule) -> QuandleTable:
         return QuandleTable(((0,),))
     table = module.group.addition_table()
     tmap = module.t_action.element_map
-    pick = itemgetter(*[module.one_minus_t(y) for y in range(n)])
+    pick = itemgetter(*module.one_minus_t_map)
     return QuandleTable(tuple(pick(table[tmap[x]]) for x in range(n)))
 
 
@@ -296,16 +296,6 @@ def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
     return lambda_iso(sub_m.as_module, sub_n.as_module) is not None
 
 
-def _coset_of(group, members):
-    """coset_of[x] is the smallest element of the coset x + members."""
-    coset_of = [-1] * group.order
-    for x in range(group.order):
-        if coset_of[x] < 0:  # no smaller element of x's coset came first
-            for w in members:
-                coset_of[group.add(x, w)] = x
-    return coset_of
-
-
 def _columns(module: LambdaModule):
     """column(z) is x -> t(x) + z, the right translation by any s with
     (1-t)(s) = z, read from addition row z at t(x) and built once per z
@@ -332,6 +322,7 @@ def _generators(module: LambdaModule, column) -> list[int]:
     puts the translation by each element reached in the group generated
     by those of S.
     """
+    u = module.one_minus_t_map
     inside = bytearray(module.order)
     members: list[int] = []
     keys: set[int] = set()
@@ -341,7 +332,7 @@ def _generators(module: LambdaModule, column) -> list[int]:
         if inside[s]:
             continue
         gens.append(s)
-        z = module.one_minus_t(s)
+        z = u[s]
         pending = []
         if z not in keys:
             # earlier members are closed under the earlier columns already
@@ -382,7 +373,8 @@ def _carries_quandle(m: LambdaModule, n: LambdaModule, f) -> bool:
         return True
     col_m, col_n = _columns(m), _columns(n)
     relabel = itemgetter(*f)
-    pairs = {(m.one_minus_t(s), n.one_minus_t(f[s])) for s in _generators(m, col_m)}
+    um, un = m.one_minus_t_map, n.one_minus_t_map
+    pairs = {(um[s], un[f[s]]) for s in _generators(m, col_m)}
     return all(itemgetter(*col_m(a))(f) == relabel(col_n(b)) for a, b in pairs)
 
 
@@ -390,16 +382,17 @@ def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness:
     """Build an explicit table bijection from a submodule isomorphism.
 
     h is the map ``lambda_iso`` finds from image_one_minus_t(m).as_module
-    to image_one_minus_t(n).as_module. Writing I = Im(1-t), the map is
-    f(alpha + w) = k(alpha) + h(w) for each coset representative alpha of
-    M/I and w in I, where k(alpha) is any beta with
-    (1-t)beta = h((1-t)alpha) whose coset is not yet taken.
-    Representatives are served in ascending order, each with the first
-    such beta in ascending order. The result is verified before return
-    by ``_carries_quandle``, on a generating set of the quandle of m and
-    without building either Cayley table; f is built with the
-    mixed-radix ``add`` and checked on rows of the addition table, so
-    the two kernels check each other.
+    to image_one_minus_t(n).as_module. Writing I = Im(1-t), the map f is
+    built one coset alpha + I of M/I at a time. Elements are scanned in
+    ascending order, and the first alpha with no image yet is the
+    smallest element of its coset. It takes the first beta, ascending,
+    with (1-t)beta = h((1-t)alpha) that no earlier coset has used, and
+    f(alpha + w) = beta + h(w) for each w in I. h maps I onto I in n, so
+    an earlier coset has used beta exactly when it took beta's coset. The
+    result is verified before return by ``_carries_quandle``, on a
+    generating set of the quandle of m and without building either
+    Cayley table; f is built with the mixed-radix ``add`` and checked on
+    rows of the addition table, so the two kernels check each other.
 
     A free beta always exists. The beta with (1-t)beta = u form
     beta0 + ker(1-t), and they meet every coset of N/I whose (1-t)-image
@@ -418,26 +411,24 @@ def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness:
         raise ValueError("Im(1-t) submodules are not isomorphic")
     hmap = dict(zip(sub_m.from_abstract, (sub_n.from_abstract[j] for j in h)))
 
-    coset_of_m = _coset_of(m.group, sub_m.member_indices)
-    coset_of_n = _coset_of(n.group, sub_n.member_indices)
+    um = m.one_minus_t_map
     preimages = [[] for _ in range(n.order)]
-    for beta in range(n.order):
-        preimages[n.one_minus_t(beta)].append(beta)
-    k, taken = {}, set()
+    for beta, z in enumerate(n.one_minus_t_map):
+        preimages[z].append(beta)
+    addm, addn = m.group.add, n.group.add
+    f = [-1] * m.order
+    used = bytearray(n.order)
     for alpha in range(m.order):
-        if coset_of_m[alpha] != alpha:
+        if f[alpha] >= 0:
             continue
-        u = hmap[m.one_minus_t(alpha)]
-        beta = next((b for b in preimages[u] if coset_of_n[b] not in taken), None)
+        beta = next((b for b in preimages[hmap[um[alpha]]] if not used[b]), None)
         if beta is None:
             raise RuntimeError("internal: no free coset")
-        taken.add(coset_of_n[beta])
-        k[alpha] = beta
-    gm, gn = m.group, n.group
-    f = tuple(
-        gn.add(k[alpha], hmap[gm.sub(x, alpha)])
-        for x, alpha in enumerate(coset_of_m)
-    )
+        for w, hw in hmap.items():
+            y = addn(beta, hw)
+            f[addm(alpha, w)] = y
+            used[y] = 1
+    f = tuple(f)
     if not _carries_quandle(m, n, f):
         raise RuntimeError("internal: constructed map is not an isomorphism")
     return IsoWitness(f, "theorem1-constructive")

@@ -268,6 +268,35 @@ def test_im1t_identify(capsys):
     assert out.splitlines()[0] == "members: 0"
 
 
+# (1-t)^2 M as members of M, its group and its name, for a linear, a poly
+# and a sum module
+IM1T_POWER_TWO = {
+    "linear:27:4": ("0 9 18", "3", "[0, 9, 18]", "[3]", "linear:3:1"),
+    "poly:3:2,0,1": ("0 5 7", "3", "[0, 5, 7]", "[3]", "linear:3:2"),
+    "sum:linear:2:1+linear:8:3": ("0 8", "2", "[0, 8]", "[2]", "linear:2:1"),
+}
+
+
+@pytest.mark.parametrize("spec", IM1T_POWER_TWO)
+def test_im1t_power_two_text_and_json(capsys, spec):
+    members, group, json_members, json_group, name = IM1T_POWER_TWO[spec]
+    argv = ["im1t", spec, "--power", "2"]
+    text = f"members: {members}\ngroup: {group}\n"
+    assert run(capsys, argv) == (0, text, "")
+    assert run(capsys, [*argv, "--identify"]) == (0, f"{text}identified: {name}\n", "")
+    info = f'{{"members": {json_members}, "invariant_factors": {json_group}'
+    assert run(capsys, [*argv, "--format", "json"]) == (0, info + "}\n", "")
+    identified = f'{info}, "identified": "{name}"}}\n'
+    assert run(capsys, [*argv, "--identify", "--format", "json"]) == (0, identified, "")
+
+
+def test_im1t_rejects_power_three(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["im1t", "linear:8:5", "--power", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 3" in capsys.readouterr().err
+
+
 def test_pair_spec_from_file(capsys, tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(

@@ -71,6 +71,14 @@ def brute_lambda_iso(m: LambdaModule, n: LambdaModule):
     return next((am for am in maps if all(am[t1[x]] == t2[am[x]] for x in rng)), None)
 
 
+def one_minus_t_reference(m: LambdaModule, x: int) -> int:
+    """(1-t)x coordinate by coordinate: (a - b) mod d for the coordinates
+    a of x and b of t(x) in each factor Z_d."""
+    g = m.group
+    coords = zip(g.coords(x), g.coords(m.t(x)), g.invariant_factors)
+    return g.index_of(tuple((a - b) % d for a, b, d in coords))
+
+
 def assert_valid_witness(m, n, w):
     size = m.order
     assert sorted(w) == list(range(size))
@@ -99,7 +107,7 @@ def test_linear_module_basics():
     assert m.provenance == ("linear", 9, 4)
     for x in range(9):
         assert m.t(x) == 4 * x % 9
-        assert m.one_minus_t(x) == (x - m.t(x)) % 9
+        assert m.one_minus_t_map[x] == (x - m.t(x)) % 9
     with pytest.raises(ValueError):
         linear_module(9, 3)
     with pytest.raises(ValueError):
@@ -112,11 +120,13 @@ def test_polynomial_quotient_annihilated_by_its_polynomial():
         p = Polynomial(n, coeffs)
         m = module_from_polynomial(p)
         assert m.group.invariant_factors == (n,) * p.degree
+        g = m.group
         for x in range(m.order):
             acc = 0
             power = x
             for c in p.coeffs:
-                acc = m.group.add(acc, m.group.scale(c, power))
+                scaled = g.index_of(tuple(c * a for a in g.coords(power)))
+                acc = g.add(acc, scaled)
                 power = m.t(power)
             assert acc == 0, (p, x)
 
@@ -129,7 +139,17 @@ def test_degree_one_quotient_is_linear():
 def test_t_inverse_and_one_minus_t():
     for m in enumerate_structures(8):
         for x in range(8):
-            assert m.group.add(m.t(x), m.one_minus_t(x)) == x
+            assert m.group.add(m.t(x), m.one_minus_t_map[x]) == x
+
+
+def test_one_minus_t_map_matches_coordinates():
+    modules = [m for n in range(1, 33) for _, m in named_candidates(n)]
+    modules += [m for n in range(1, 17) for m in enumerate_structures(n)]
+    for m in modules:
+        u = m.one_minus_t_map
+        assert len(u) == m.order
+        assert all(u[x] == one_minus_t_reference(m, x) for x in range(m.order)), m
+        assert m.one_minus_t_map is u  # built once
 
 
 def test_modules_are_collectable_after_use():
@@ -195,7 +215,7 @@ def test_image_closed_under_operations():
             for y in members:
                 assert m.group.add(x, y) in members
         # image really is {(1-t)x : x in M}
-        assert members == {m.one_minus_t(x) for x in range(m.order)}
+        assert members == {one_minus_t_reference(m, x) for x in range(m.order)}
 
 
 def test_image_size_matches_linear_formula():
@@ -208,13 +228,17 @@ def test_image_size_matches_linear_formula():
 
 
 def test_image_power_two_is_image_of_image():
-    m = linear_module(8, 5)
-    im1 = image_one_minus_t(m)
-    im2 = image_one_minus_t(m, power=2)
-    expected = {m.one_minus_t(x) for x in im1.member_indices}
-    assert set(im2.member_indices) == expected
-    with pytest.raises(ValueError):
-        image_one_minus_t(m, power=3)
+    """(1-t)^2 M is the image of Im(1-t)'s abstract copy, read back into M
+    through from_abstract. On Z_8 with t = 3, 1 - t is x -> 6x."""
+    for _, m in named_candidates(8):
+        im1 = image_one_minus_t(m)
+        im2 = image_one_minus_t(im1.as_module)
+        expected = {one_minus_t_reference(m, x) for x in im1.member_indices}
+        assert {im1.from_abstract[i] for i in im2.member_indices} == expected
+    im1 = image_one_minus_t(linear_module(8, 3))
+    im2 = image_one_minus_t(im1.as_module)
+    assert sorted(im1.from_abstract[i] for i in im2.member_indices) == [0, 4]
+    assert im2.as_module.group.invariant_factors == (2,)
 
 
 def invert(from_abstract):
@@ -261,10 +285,12 @@ def assert_t_action_validates(module):
 def test_recoordinatized_images_are_module_isomorphisms():
     for n in range(1, 13):
         for m in enumerate_structures(n):
-            for power in (1, 2):
-                sub = image_one_minus_t(m, power)
+            # Im(1-t), then the image of the image, (1-t)^2 M in Im(1-t)'s coordinates
+            for parent in (m, image_one_minus_t(m).as_module):
+                sub = image_one_minus_t(parent)
                 assert_module_isomorphism(
-                    sub.member_indices, m.group.add, m.t, sub.as_module, sub.from_abstract
+                    sub.member_indices, parent.group.add, parent.t, sub.as_module,
+                    sub.from_abstract,
                 )
                 to_abstract = invert(sub.from_abstract)
                 for x in sub.member_indices:
@@ -345,8 +371,7 @@ def test_recoordinatize_searches_once(monkeypatch):
     monkeypatch.setattr(lambda_module, "iter_embeddings", counting)
     monkeypatch.setattr(lambda_module, "_recoordinatize", recording)
     for m in enumerate_structures(8) + enumerate_structures(12):
-        for power in (1, 2):
-            image_one_minus_t(m, power)
+        image_one_minus_t(image_one_minus_t(m).as_module)
     for m1, m2 in itertools.combinations_with_replacement(_direct_sum_atoms(), 2):
         direct_sum(m1, m2)
     assert sum(size > 1 for size, _ in per_call) > 300
