@@ -10,8 +10,9 @@ standard generator sits at index d1*...*d_{i-1}.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, product
 
 
@@ -87,8 +88,8 @@ def invariant_factors_from_element_orders(orders) -> tuple[int, ...]:
     isomorphism; this inverts that correspondence. Raises ValueError if the
     statistics do not belong to any abelian group.
     """
-    orders = list(orders)
-    n = len(orders)
+    counts = Counter(orders)
+    n = sum(counts.values())
     if n == 0:
         raise ValueError("empty order multiset")
     if n == 1:
@@ -100,7 +101,7 @@ def invariant_factors_from_element_orders(orders) -> tuple[int, ...]:
         k = 1
         while True:
             pk = p ** k
-            c = sum(1 for o in orders if pk % o == 0)
+            c = sum(num for o, num in counts.items() if pk % o == 0)
             s = _int_log(c, p)
             m = s - s_prev
             if m <= 0:
@@ -211,29 +212,13 @@ class AbelianGroup:
         return tuple(rows)
 
     def addition_row(self, z: int) -> tuple[int, ...]:
-        """Row z of the addition table, ``row[x] == self.add(z, x)``.
-
-        Built one factor at a time, without calling ``add``. With p the
-        order of the factors so far, z's coordinate c in a factor Z_d
-        rotates the offsets p*0, ..., p*(d-1) left by c; the first
-        factor's row is those offsets, and each later factor repeats the
-        row so far once per offset, shifted by it.
+        """Row z of the addition table, ``row[x] == self.add(z, x)``; see
+        the module-level ``addition_row``.
 
         >>> AbelianGroup((2, 4)).addition_row(3)
         (3, 2, 5, 4, 7, 6, 1, 0)
         """
-        row: tuple[int, ...] = (0,)
-        p = 1
-        for d in self.invariant_factors:
-            z, c = divmod(z, d)
-            offsets = range(0, p * d, p)
-            rotated = chain(offsets[c:], offsets[:c])
-            if p == 1:
-                row = tuple(rotated)
-            else:
-                row = tuple(chain.from_iterable(map(k.__add__, row) for k in rotated))
-            p *= d
-        return row
+        return addition_row(self.invariant_factors, z)
 
     def element_order(self, x: int) -> int:
         order = 1
@@ -244,22 +229,73 @@ class AbelianGroup:
         return order
 
 
-def iter_embeddings(factors, candidates, shift):
+def addition_row(factors, z: int) -> tuple[int, ...]:
+    """Row z of the addition table of Z_d1 + ... + Z_dk, ``row[x]`` = z + x,
+    elements indexed mixed-radix over ``factors``, first factor least
+    significant. The factors need not form a divisibility chain, so a
+    direct sum's concatenated factors work too.
+
+    Built one factor at a time, without calling ``add``. With p the
+    order of the factors so far, z's coordinate c in a factor Z_d
+    rotates the offsets p*0, ..., p*(d-1) left by c; the first factor's
+    row is those offsets, and each later factor repeats the row so far
+    once per offset, shifted by it.
+
+    >>> addition_row((4, 2), 5)
+    (5, 6, 7, 4, 1, 2, 3, 0)
+    """
+    row: tuple[int, ...] = (0,)
+    p = 1
+    for d in factors:
+        z, c = divmod(z, d)
+        offsets = range(0, p * d, p)
+        rotated = chain(offsets[c:], offsets[:c])
+        if p == 1:
+            row = tuple(rotated)
+        else:
+            row = tuple(chain.from_iterable(map(k.__add__, row) for k in rotated))
+        p *= d
+    return row
+
+
+def element_orders(factors) -> list[int]:
+    """The additive order of every element of Z_d1 + ... + Z_dk, indexed
+    like ``addition_row``; the factors need not form a divisibility chain.
+
+    Built one factor at a time, without calling ``element_order``: the
+    element x0 + p*c, with p the order of the factors so far, has order
+    lcm(orders[x0], d / gcd(d, c)).
+
+    >>> element_orders((2, 3))
+    [1, 2, 3, 6, 3, 6]
+    """
+    orders = [1]
+    for d in factors:
+        col = [d // math.gcd(d, c) for c in range(d)]
+        orders = [math.lcm(a, o) for a in col for o in orders]
+    return orders
+
+
+def iter_embeddings(factors, candidates, translate):
     """Yield every injective additive map out of Z_d1 + ... + Z_dk.
 
     ``factors`` are d1, ..., dk and ``candidates[i]`` lists the allowed
-    images of the i-th standard generator, each of order dividing its d;
-    ``shift(z)`` returns the translation x -> x + z of the target group.
-    Yields ``(images, element_map)``, depth-first in candidate order, with
-    element_map indexed like the elements of ``AbelianGroup(factors)``.
+    images of the i-th standard generator, each of order dividing its d.
+    ``translate(y)`` returns the translation x -> x + y of the target
+    group as a sequence indexed by target element (an addition row), so
+    ``translate(y)[x]`` is x + y. Yields ``(images, element_map)``,
+    depth-first in candidate order, with element_map indexed like the
+    elements of ``AbelianGroup(factors)``.
 
     The map phi built so far is injective and its image H is
     element_map[:span]. An image y of an order-d generator e extends phi
     injectively exactly when c*y lies outside H for c = 1, ..., d-1: the
     extension sends h + c*e to phi(h) + c*y, which is 0 for c != 0 only if
-    c*y = -phi(h) lies in H, and for c = 0 only if h = 0. So a candidate
-    costs at most d-1 lookups, and only an accepted one writes its cosets
-    H + c*y.
+    c*y = -phi(h) lies in H, and for c = 0 only if h = 0. A candidate
+    inside H is skipped before its row is built; otherwise the multiples
+    c*y are read along the one row of y, and an accepted candidate writes
+    its cosets H + c*y block by block, block c being block c-1 mapped
+    through that row.
     """
     last = len(factors) - 1
     if last < 0:
@@ -273,17 +309,19 @@ def iter_embeddings(factors, candidates, shift):
         inside = set(head)
         d = factors[level]
         for y in candidates[level]:
-            shifts = []  # translations by c*y, c = 1..d-1
+            if y in inside:
+                continue
+            row = translate(y)
             cy = y
-            for _ in range(1, d):
+            for _ in range(2, d):  # c*y for c = 2..d-1
+                cy = row[cy]
                 if cy in inside:
                     break
-                step = shift(cy)
-                shifts.append(step)
-                cy = step(y)
             else:
-                for c, step in enumerate(shifts, 1):
-                    emap[c * span:(c + 1) * span] = map(step, head)
+                block = head
+                for c in range(1, d):
+                    block = list(map(row.__getitem__, block))
+                    emap[c * span:(c + 1) * span] = block
                 images.append(y)
                 if level == last:
                     yield tuple(images), tuple(emap)
@@ -300,8 +338,10 @@ class GroupAutomorphism:
 
     The public constructor validates: it checks well-definedness (the
     image of an order-d generator must have order dividing d) and
-    bijectivity, and builds the full element map additively. Parsed
-    input and ``pair`` descriptors go through it.
+    bijectivity, and builds the full element map additively by one
+    ``iter_embeddings`` pass over the given images, translating along
+    ``group.addition_row``. Parsed input and ``pair`` descriptors go
+    through it.
 
     ``iter_automorphisms`` and the recoordinatization of Im(1-t) and
     direct sums build through the trusted ``_trusted`` path instead, which
@@ -333,8 +373,8 @@ class GroupAutomorphism:
                     f"image of an order-{d} generator has order "
                     f"{g.element_order(y)}; the map is not well defined"
                 )
-        shift = lambda z: partial(g.add, z)
-        found = next(iter_embeddings(facs, [(y,) for y in images], shift), None)
+        candidates = [(y,) for y in images]
+        found = next(iter_embeddings(facs, candidates, g.addition_row), None)
         if found is None:
             raise ValueError("induced endomorphism is not a bijection")
         object.__setattr__(self, "element_map", found[1])
@@ -384,18 +424,14 @@ def iter_automorphisms(group: AbelianGroup):
     constructor with the element map already in hand. The identity always
     comes first.
 
-    Translations are read from ``group.addition_table()``, built once per
-    call and local to it (2,304 entries at order 48).
+    Translations are the rows of ``group.addition_table()``, built once
+    per call and local to it (2,304 entries at order 48), and element
+    orders come from ``element_orders``.
     """
     facs = group.invariant_factors
-    n = group.order
-    # translation[z] is x -> z + x, a lookup in one row of the addition table
-    translation = [row.__getitem__ for row in group.addition_table()]
-    cand = [
-        tuple(x for x in range(n) if d % group.element_order(x) == 0)
-        for d in facs
-    ]
-    for images, emap in iter_embeddings(facs, cand, translation.__getitem__):
+    orders = element_orders(facs)
+    cand = [tuple(x for x, o in enumerate(orders) if d % o == 0) for d in facs]
+    for images, emap in iter_embeddings(facs, cand, group.addition_table().__getitem__):
         yield GroupAutomorphism._trusted(group, images, emap)
 
 

@@ -30,6 +30,8 @@ from .abelian import (
     AbelianGroup,
     GroupAutomorphism,
     _monic_irreducibles,
+    addition_row,
+    element_orders,
     invariant_factors_from_element_orders,
     is_prime,
     iter_embeddings,
@@ -240,15 +242,17 @@ def module_from_polynomial(p: Polynomial) -> LambdaModule:
     return LambdaModule(group, t, ("poly", n, coeffs))
 
 
-def _recoordinatize(members, add, t, element_order):
-    """Express a finite abelian group given by (members, add) in canonical form.
+def _recoordinatize(members, translate, t_map, orders):
+    """Express the subgroup ``members`` of a finite abelian group in canonical form.
 
-    members must contain 0 as the identity. element_order(x) is the
-    additive order of a member x; callers read it off the group the
-    members live in, which is cheaper than adding x to itself. Returns
-    (module, from_abstract) where module has invariant-factor coordinates
-    and from_abstract[i] is the member with abstract index i. t is
-    transported along; members must be closed under t.
+    members must contain 0 as the identity and be closed under addition
+    and under t. ``translate(y)`` is the addition row of y in the group
+    the members live in (``translate(y)[x]`` is x + y), ``t_map`` the
+    element map of t there, and ``orders[x]`` the additive order of x;
+    all three are sequences indexed by that group's elements, so nothing
+    here adds. Returns (module, from_abstract) where module has
+    invariant-factor coordinates and from_abstract[i] is the member with
+    abstract index i.
 
     One ``iter_embeddings`` search picks a basis, largest factor first
     (smallest first would backtrack, e.g. on Z2+Z4 when the order-2 pick
@@ -266,15 +270,13 @@ def _recoordinatize(members, add, t, element_order):
     if len(members) == 1:
         return trivial_module(), (0,)
 
-    orders = {x: element_order(x) for x in members}
-    target = invariant_factors_from_element_orders(orders.values())
+    target = invariant_factors_from_element_orders(map(orders.__getitem__, members))
     desc = tuple(reversed(target))
 
     # a basis element for Z_d has order exactly d, both in the group and
     # relative to the span of the basis elements chosen before it
-    shift = lambda z: partial(add, z)
     cand = [tuple(g for g in members if orders[g] == d) for d in desc]
-    found = next(iter_embeddings(desc, cand, shift), None)
+    found = next(iter_embeddings(desc, cand, translate), None)
     if found is None or set(found[1]) != set(members):
         raise ValueError("member set is not closed under the given addition")
 
@@ -287,34 +289,32 @@ def _recoordinatize(members, add, t, element_order):
     from_abstract = tuple(map(found[1].__getitem__, perm))
 
     to_abstract = {x: i for i, x in enumerate(from_abstract)}
-    t_map = tuple(to_abstract[t(x)] for x in from_abstract)
+    t_abstract = tuple(to_abstract[t_map[x]] for x in from_abstract)
     group = AbelianGroup(target)
-    t_images = tuple(t_map[e] for e in group.generator_indices())
-    taut = GroupAutomorphism._trusted(group, t_images, t_map)
+    t_images = tuple(t_abstract[e] for e in group.generator_indices())
+    taut = GroupAutomorphism._trusted(group, t_images, t_abstract)
     return LambdaModule(group, taut), from_abstract
 
 
 def direct_sum(m1: LambdaModule, m2: LambdaModule) -> LambdaModule:
-    """Direct sum, renormalized to invariant-factor coordinates."""
+    """Direct sum, renormalized to invariant-factor coordinates.
+
+    The pair (a, b) has index a + |m1|*b, mixed-radix over m1's factors
+    followed by m2's. That sequence need not be a divisibility chain, but
+    ``addition_row`` and ``element_orders`` take any factor sequence, so
+    ``_recoordinatize`` reads the sum's rows, t and orders from them.
+    """
     if m1.order == 1:
         return m2
     if m2.order == 1:
         return m1
     n1 = m1.order
-    add1, add2 = m1.group.add, m2.group.add
-    o1, o2 = m1.group.element_order, m2.group.element_order
+    facs = m1.group.invariant_factors + m2.group.invariant_factors
     t1, t2 = m1.t_action.element_map, m2.t_action.element_map
-
-    def add(x, y):
-        return add1(x % n1, y % n1) + n1 * add2(x // n1, y // n1)
-
-    def t(x):
-        return t1[x % n1] + n1 * t2[x // n1]
-
-    def element_order(x):
-        return math.lcm(o1(x % n1), o2(x // n1))
-
-    module, _ = _recoordinatize(range(n1 * m2.order), add, t, element_order)
+    t_map = [a + n1 * b for b in t2 for a in t1]
+    module, _ = _recoordinatize(
+        range(len(t_map)), partial(addition_row, facs), t_map, element_orders(facs)
+    )
     if m1.provenance is None or m2.provenance is None:
         return module
     return replace(module, provenance=sum_descriptor((m1.provenance, m2.provenance)))
@@ -353,7 +353,10 @@ def image_one_minus_t(module: LambdaModule) -> Submodule:
         members = tuple(sorted(set(u)))
         # a member's order in the submodule is its order in the whole group
         g = module.group
-        abstract, from_abstract = _recoordinatize(members, g.add, module.t, g.element_order)
+        abstract, from_abstract = _recoordinatize(
+            members, g.addition_row, module.t_action.element_map,
+            element_orders(g.invariant_factors),
+        )
         # 1 - t is additive, so the images of the group generators span
         # the image; for a t-cyclic module such as a linear or polynomial
         # one, the image of its generator 1 alone generates it under t
@@ -386,8 +389,7 @@ def _element_profile(module: LambdaModule) -> tuple[list[int], list[int]]:
     """The additive order and the t-orbit length of every element."""
     memo = module._memo
     if "profile" not in memo:
-        g = module.group
-        orders = [g.element_order(x) for x in range(module.order)]
+        orders = element_orders(module.group.invariant_factors)
         memo["profile"] = (orders, _orbit_lengths(module.t_action.element_map))
     return memo["profile"]
 

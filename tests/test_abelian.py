@@ -20,8 +20,10 @@ from alexquandle.abelian import (
     AbelianGroup,
     GroupAutomorphism,
     abelian_groups_of_order,
+    addition_row,
     automorphism_classes,
     conjugacy_classes,
+    element_orders,
     enumerate_automorphisms,
     factorize,
     gl_conjugacy_classes,
@@ -150,6 +152,51 @@ def test_addition_table_matches_add():
                 assert g.addition_row(z) == rows[z]
                 for x in range(g.order):
                     assert rows[z][x] == g.add(z, x)
+
+
+def factor_sequences(bound: int):
+    """Every sequence of integers >= 2 with product at most bound,
+    divisibility chains or not."""
+    out = [()]
+    for seq in out:
+        d = 2
+        while math.prod(seq) * d <= bound:
+            out.append(seq + (d,))
+            d += 1
+    return out
+
+
+def mixed_radix_add(factors, x: int, y: int) -> int:
+    """x + y digit by digit, first factor least significant."""
+    out, p = 0, 1
+    for d in factors:
+        out += ((x + y) % d) * p
+        x //= d
+        y //= d
+        p *= d
+    return out
+
+
+def test_row_and_order_kernels_match_mixed_radix_arithmetic():
+    """addition_row and element_orders against the digit-by-digit sum, over
+    every factor sequence of product at most 48, non-chains included, and
+    the non-chain (2, 9, 3) of order 54."""
+    sequences = factor_sequences(48) + [(2, 9, 3)]
+    assert {(4, 2), (3, 2, 4), (2, 4, 3)} <= set(sequences)
+    for factors in sequences:
+        n = math.prod(factors)
+        orders = element_orders(factors)
+        assert len(orders) == n
+        for z in range(n):
+            assert addition_row(factors, z) == tuple(
+                mixed_radix_add(factors, z, x) for x in range(n)
+            )
+        for x in range(n):
+            k, y = 1, x
+            while y != 0:
+                y = mixed_radix_add(factors, y, x)
+                k += 1
+            assert orders[x] == k, (factors, x)
 
 
 def test_element_order_brute():

@@ -312,13 +312,17 @@ def _direct_sum_atoms():
 def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
     """Every recoordinatization inside direct_sum_all over pairs of atoms of
     product at most 72 and triples of product at most 64; the triples reach
-    targets with three factor sizes, such as (2, 4, 8)."""
+    targets with three factor sizes, such as (2, 4, 8).
+
+    The rows, t and orders handed in are checked against the sum built
+    from the two pieces' own mixed-radix add and t maps, so the oracle
+    shares no code with addition_row or element_orders."""
     calls = []
     recoordinatize = lambda_module._recoordinatize
 
-    def recording(members, add, t, element_order):
-        out = recoordinatize(members, add, t, element_order)
-        calls.append((members, add, t, element_order, out))
+    def recording(members, translate, t_map, orders):
+        out = recoordinatize(members, translate, t_map, orders)
+        calls.append((members, translate, t_map, orders, out))
         return out
 
     monkeypatch.setattr(lambda_module, "_recoordinatize", recording)
@@ -335,17 +339,72 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
         s = direct_sum_all(pieces)
         assert len(calls) == len(pieces) - 1
         assert calls[-1][-1][0] == s
-        for members, add, t, element_order, (abstract, from_abstract) in calls:
+        left = pieces[0]
+        for right, (members, translate, t_map, orders, out) in zip(pieces[1:], calls):
+            abstract, from_abstract = out
+            n1 = left.order
+            add1, add2 = left.group.add, right.group.add
+
+            def add(x, y):
+                return add1(x % n1, y % n1) + n1 * add2(x // n1, y // n1)
+
+            def t(x):
+                return left.t(x % n1) + n1 * right.t(x // n1)
+
+            assert list(members) == list(range(n1 * right.order))
             for x in members:  # the orders handed in are the additive orders
                 k, y = 1, x
                 while y != 0:
                     y = add(y, x)
                     k += 1
-                assert element_order(x) == k
+                assert orders[x] == k
+                assert t_map[x] == t(x)
+            for y in members:
+                row = translate(y)
+                assert all(row[x] == add(x, y) for x in members)
             assert_module_isomorphism(members, add, t, abstract, from_abstract)
             assert_t_action_validates(abstract)
+            left = abstract
         targets.add(s.group.invariant_factors)
     assert (2, 4, 8) in targets
+
+
+def test_module_construction_never_calls_mixed_radix_add(monkeypatch):
+    """Descriptors, JSON input, Im(1-t) and direct sums read addition rows
+    and order tables only: with AbelianGroup.add raising they build the
+    same element maps and from_abstract as without."""
+    descs = [
+        ("linear", 12, 5),
+        ("poly", 3, (2, 1, 1)),
+        ("poly", 2, (1, 1, 0, 1)),
+        ("sum", (("linear", 2, 1), ("linear", 4, 3), ("poly", 2, (1, 1, 1)))),
+        ("pair", (2, 4), ((1, 0), (1, 1))),
+    ]
+    data = {"invariant_factors": [3, 9], "t_generator_images": [[2, 0], [1, 4]]}
+
+    def build():
+        mods = [module_from_descriptor(d) for d in descs]
+        mods.append(module_from_json_dict(data))
+        mods.append(direct_sum_all(mods[:3]))
+        out = []
+        for m in mods:
+            sub = image_one_minus_t(m)
+            out.append((
+                m.group.invariant_factors,
+                m.t_action.element_map,
+                sub.member_indices,
+                sub.from_abstract,
+                sub.as_module.t_action.element_map,
+            ))
+        return out
+
+    expected = build()
+
+    def forbidden(self, x, y):
+        raise AssertionError("mixed-radix add called")
+
+    monkeypatch.setattr(AbelianGroup, "add", forbidden)
+    assert build() == expected
 
 
 def test_recoordinatize_searches_once(monkeypatch):
