@@ -388,9 +388,6 @@ class GroupAutomorphism:
         object.__setattr__(aut, "element_map", element_map)
         return aut
 
-    def __call__(self, x: int) -> int:
-        return self.element_map[x]
-
 
 def abelian_groups_of_order(n: int) -> list[AbelianGroup]:
     """All abelian groups of order n, one per isomorphism class.

@@ -28,12 +28,12 @@ from .lambda_module import (
     LambdaModule,
     Polynomial,
     descriptor_str,
+    direct_sum,
     identify_as_quotient,
     image_one_minus_t,
     linear_module,
     module_from_json_dict,
     module_from_polynomial,
-    direct_sum_all,
 )
 from .linear import linear_connected, linear_dual, linear_iso, linear_self_dual, n_cap
 from .quandle import (
@@ -120,7 +120,7 @@ def parse_spec(text: str, base: int = 0):
             offset += len(comp) + 1
         if len(modules) < 2:
             raise SpecParseError("sum needs at least two components", base + 4)
-        return direct_sum_all(modules)
+        return direct_sum(*modules)
     if text.startswith("pair:"):
         body = text[5:]
         if not body.startswith("@"):
@@ -267,11 +267,11 @@ def _cmd_im1t(args) -> int:
     if not isinstance(module, LambdaModule):
         raise ValueError("im1t needs a module spec, not a table")
     sub = image_one_minus_t(module)
-    members, abstract = list(sub.member_indices), sub.as_module
+    members, abstract = sorted(sub.from_abstract), sub.as_module
     if args.power == 2:
         # (1-t)^2 M is the image of the abstract Im(1-t), read back into M
         inner = image_one_minus_t(abstract)
-        members = sorted(map(sub.from_abstract.__getitem__, inner.member_indices))
+        members = sorted(map(sub.from_abstract.__getitem__, inner.from_abstract))
         abstract = inner.as_module
     info = {
         "members": members,

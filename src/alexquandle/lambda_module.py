@@ -164,9 +164,6 @@ class LambdaModule:
     def order(self) -> int:
         return self.group.order
 
-    def t(self, x: int) -> int:
-        return self.t_action.element_map[x]
-
     @cached_property
     def one_minus_t_map(self) -> tuple[int, ...]:
         """The element map of 1 - t: ``one_minus_t_map[x]`` is x - t(x).
@@ -296,46 +293,51 @@ def _recoordinatize(members, translate, t_map, orders):
     return LambdaModule(group, taut), from_abstract
 
 
-def direct_sum(m1: LambdaModule, m2: LambdaModule) -> LambdaModule:
-    """Direct sum, renormalized to invariant-factor coordinates.
+def direct_sum(*modules: LambdaModule) -> LambdaModule:
+    """The direct sum of any number of modules, in invariant-factor coordinates.
 
-    The pair (a, b) has index a + |m1|*b, mixed-radix over m1's factors
-    followed by m2's. That sequence need not be a divisibility chain, but
-    ``addition_row`` and ``element_orders`` take any factor sequence, so
-    ``_recoordinatize`` reads the sum's rows, t and orders from them.
+    Pieces of order 1 are skipped: with no other piece the sum is the
+    trivial module, and with one it is that piece. The others are added
+    left to right, and each partial sum is recoordinatized before the
+    next piece joins it. The provenance is the ``sum_descriptor`` of the
+    pieces when every piece has one, and None otherwise.
+
+    Adding m2 to m1, the pair (a, b) has index a + |m1|*b, mixed-radix
+    over m1's factors followed by m2's. That sequence need not be a
+    divisibility chain, but ``addition_row`` and ``element_orders`` take
+    any factor sequence, so ``_recoordinatize`` reads the sum's rows, t
+    and orders from them.
+
+    >>> direct_sum(linear_module(2, 1), linear_module(3, 2), linear_module(2, 1)).group
+    AbelianGroup(invariant_factors=(2, 6))
     """
-    if m1.order == 1:
-        return m2
-    if m2.order == 1:
-        return m1
-    n1 = m1.order
-    facs = m1.group.invariant_factors + m2.group.invariant_factors
-    t1, t2 = m1.t_action.element_map, m2.t_action.element_map
-    t_map = [a + n1 * b for b in t2 for a in t1]
-    module, _ = _recoordinatize(
-        range(len(t_map)), partial(addition_row, facs), t_map, element_orders(facs)
-    )
-    if m1.provenance is None or m2.provenance is None:
-        return module
-    return replace(module, provenance=sum_descriptor((m1.provenance, m2.provenance)))
-
-
-def direct_sum_all(modules) -> LambdaModule:
-    out = trivial_module()
-    for m in modules:
-        out = direct_sum(out, m)
-    return out
+    pieces = [m for m in modules if m.order > 1]
+    if len(pieces) <= 1:
+        return pieces[0] if pieces else trivial_module()
+    out = pieces[0]
+    for m in pieces[1:]:
+        n1 = out.order
+        facs = out.group.invariant_factors + m.group.invariant_factors
+        t1, t2 = out.t_action.element_map, m.t_action.element_map
+        t_map = [a + n1 * b for b in t2 for a in t1]
+        out, _ = _recoordinatize(
+            range(len(t_map)), partial(addition_row, facs), t_map, element_orders(facs)
+        )
+    provenances = [m.provenance for m in pieces]
+    if None in provenances:
+        return out
+    return replace(out, provenance=sum_descriptor(provenances))
 
 
 @dataclass(eq=False)
 class Submodule:
     """Im(1-t) inside a parent module, with its abstract normal form.
 
-    from_abstract[i] is the parent element with index i in as_module; it
-    is an additive bijection onto member_indices that commutes with t.
+    from_abstract[i] is the parent element with index i in as_module. It
+    is an additive bijection onto the members of Im(1-t) that commutes
+    with t, so the members are ``sorted(from_abstract)``.
     """
 
-    member_indices: tuple[int, ...]
     as_module: LambdaModule
     from_abstract: tuple[int, ...]
 
@@ -343,18 +345,18 @@ class Submodule:
 def image_one_minus_t(module: LambdaModule) -> Submodule:
     """The submodule (1-t)M, with a canonical abstract copy.
 
-    The members are the values of the module's ``one_minus_t_map``.
+    The members are the values of the module's ``one_minus_t_map``; the
+    Submodule keeps them only as the image of its ``from_abstract``.
     (1-t)^2 M is the image of the abstract copy's own 1 - t, read back
     into M through this submodule's ``from_abstract``.
     """
     memo = module._memo
     if "image" not in memo:
         u = module.one_minus_t_map
-        members = tuple(sorted(set(u)))
         # a member's order in the submodule is its order in the whole group
         g = module.group
         abstract, from_abstract = _recoordinatize(
-            members, g.addition_row, module.t_action.element_map,
+            set(u), g.addition_row, module.t_action.element_map,
             element_orders(g.invariant_factors),
         )
         # 1 - t is additive, so the images of the group generators span
@@ -362,7 +364,7 @@ def image_one_minus_t(module: LambdaModule) -> Submodule:
         # one, the image of its generator 1 alone generates it under t
         gens = (u[e] for e in g.generator_indices())
         abstract._memo["generator_pool"] = tuple(map(from_abstract.index, gens))
-        memo["image"] = Submodule(members, abstract, from_abstract)
+        memo["image"] = Submodule(abstract, from_abstract)
     return memo["image"]
 
 
@@ -704,10 +706,12 @@ def named_candidates(order: int):
 def identify_as_quotient(module: LambdaModule):
     """The smallest named descriptor isomorphic to the module, or None.
 
-    The trivial module is named by the empty sum, its only candidate.
+    Each candidate of ``candidate_descriptors`` is built only when its
+    turn comes, so the walk stops at the first match. The trivial module
+    is named by the empty sum, its only candidate.
     """
-    for desc, cand in named_candidates(module.order):
-        if lambda_iso(module, cand) is not None:
+    for desc in candidate_descriptors(module.order):
+        if lambda_iso(module, module_from_descriptor(desc)) is not None:
             return desc
     return None
 
@@ -720,7 +724,7 @@ def module_from_descriptor(desc) -> LambdaModule:
     if kind == "poly":
         return module_from_polynomial(Polynomial(desc[1], desc[2]))
     if kind == "sum":
-        return direct_sum_all(module_from_descriptor(c) for c in desc[1])
+        return direct_sum(*map(module_from_descriptor, desc[1]))
     group = AbelianGroup(tuple(desc[1]))
     images = tuple(group.index_of(c) for c in desc[2])
     return module_from_pair(group, GroupAutomorphism(group, images))

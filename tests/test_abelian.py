@@ -242,10 +242,10 @@ def test_automorphism_is_additive():
     g33 = AbelianGroup((3, 3))
     sample += list(itertools.islice(iter_automorphisms(g33), 7))
     for aut in sample:
-        g = aut.group
+        g, emap = aut.group, aut.element_map
         for x in range(g.order):
             for y in range(g.order):
-                assert aut(g.add(x, y)) == g.add(aut(x), aut(y))
+                assert emap[g.add(x, y)] == g.add(emap[x], emap[y])
 
 
 def inverse(f: GroupAutomorphism) -> GroupAutomorphism:
@@ -257,7 +257,8 @@ def inverse(f: GroupAutomorphism) -> GroupAutomorphism:
 def compose(f: GroupAutomorphism, h: GroupAutomorphism) -> GroupAutomorphism:
     """f after h through the validating constructor: e_j goes to f(h(e_j))."""
     gens = f.group.generator_indices()
-    return GroupAutomorphism(f.group, tuple(f(h(e)) for e in gens))
+    fm, hm = f.element_map, h.element_map
+    return GroupAutomorphism(f.group, tuple(fm[hm[e]] for e in gens))
 
 
 def test_compose_and_inverse():
@@ -268,8 +269,9 @@ def test_compose_and_inverse():
         assert compose(f, inverse(f)).element_map == ident.element_map
         assert compose(inverse(f), f).element_map == ident.element_map
     f, h = auts[1], auts[-1]
+    fh = compose(f, h).element_map
     for x in range(g.order):
-        assert compose(f, h)(x) == f(h(x))
+        assert fh[x] == f.element_map[h.element_map[x]]
 
 
 def test_automorphism_count_cyclic_is_totient():
@@ -389,7 +391,8 @@ def conjugacy_classes_oracle(auts):
             inv = [0] * n
             for x, y in enumerate(h.element_map):
                 inv[y] = x
-            members.add(tuple(h(g(inv[x])) for x in range(n)))
+            hm, gm = h.element_map, g.element_map
+            members.add(tuple(hm[gm[inv[x]]] for x in range(n)))
         seen |= members
         classes.append(sorted((by_map[m] for m in members), key=lambda a: a.generator_images))
     classes.sort(key=lambda cls: cls[0].generator_images)

@@ -261,7 +261,7 @@ def two_scan_classes(n):
                 cls["members"].append(module)
                 break
         else:
-            connected = len(sub.member_indices) == n
+            connected = len(sub.from_abstract) == n
             classes.append({"image": sub.as_module, "members": [module], "connected": connected})
     records = []
     for cls in classes:

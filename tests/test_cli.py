@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 import alexquandle.cli as cli
+from alexquandle.classify import count_table
 from alexquandle.cli import SpecParseError, main, parse_spec
 from alexquandle.lambda_module import LambdaModule
 from alexquandle.quandle import QuandleTable, alexander_table, is_quandle_iso
@@ -97,6 +98,25 @@ def test_invalid_values_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, ["axioms", f"table:@{fractional}"])
     assert (code, out) == (3, "")
     assert err.startswith("invalid input:")
+
+
+def test_build_of_a_table_that_breaks_an_axiom_exits_3(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 0\n0 1\n")
+    code, out, err = run(capsys, ["build", f"table:@{bad}"])
+    assert (code, out) == (3, "")
+    assert err == "invalid input: table violates quandle axiom (i) at (0, 1, 0)\n"
+
+
+def test_table_where_a_module_is_needed(capsys, tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("0 2 1\n2 1 0\n1 0 2\n")
+    code, out, err = run(capsys, ["build", f"sum:linear:2:1+table:@{path}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("spec error: sum components must be modules")
+    code, out, err = run(capsys, ["im1t", f"table:@{path}"])
+    assert (code, out) == (3, "")
+    assert err == "invalid input: im1t needs a module spec, not a table\n"
 
 
 def test_usage_error_exits_2():
@@ -349,6 +369,17 @@ def test_classify_formats(capsys):
     assert json.loads(out)["distinct"] == 3
 
 
+def test_classify_connected_only_json_keeps_header_counts(capsys):
+    _, full, _ = run(capsys, ["classify", "8", "--format", "json"])
+    code, out, err = run(capsys, ["classify", "8", "--connected-only", "--format", "json"])
+    assert (code, err) == (0, "")
+    full, data = json.loads(full), json.loads(out)
+    assert data["classes"] == [c for c in full["classes"] if c["connected"]]
+    assert 0 < len(data["classes"]) == data["connected"] < data["distinct"]
+    del full["classes"], data["classes"]
+    assert data == full
+
+
 def test_order_guard_env(capsys, monkeypatch):
     code, _, err = run(capsys, ["classify", "16"])
     assert code == 3
@@ -386,6 +417,13 @@ def test_table2_exact(capsys):
     code, out, _ = run(capsys, ["table2", "--max", "6", "--format", "csv"])
     assert code == 0
     assert out == "n,distinct,connected\n2,1,0\n3,2,1\n4,3,1\n5,4,3\n6,2,0\n"
+
+
+def test_table2_json_equals_count_table(capsys):
+    code, out, err = run(capsys, ["table2", "--max", "6", "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = [{"order": n, "distinct": d, "connected": c} for n, d, c in count_table(6)]
+    assert json.loads(out) == rows
 
 
 def test_table1_row_count(capsys):

@@ -32,7 +32,6 @@ from alexquandle.lambda_module import (
     descriptor_key,
     descriptor_str,
     direct_sum,
-    direct_sum_all,
     identify_as_quotient,
     image_one_minus_t,
     isomorphism_key,
@@ -75,15 +74,16 @@ def one_minus_t_reference(m: LambdaModule, x: int) -> int:
     """(1-t)x coordinate by coordinate: (a - b) mod d for the coordinates
     a of x and b of t(x) in each factor Z_d."""
     g = m.group
-    coords = zip(g.coords(x), g.coords(m.t(x)), g.invariant_factors)
+    coords = zip(g.coords(x), g.coords(m.t_action.element_map[x]), g.invariant_factors)
     return g.index_of(tuple((a - b) % d for a, b, d in coords))
 
 
 def assert_valid_witness(m, n, w):
     size = m.order
+    tm, tn = m.t_action.element_map, n.t_action.element_map
     assert sorted(w) == list(range(size))
     for x in range(size):
-        assert w[m.t(x)] == n.t(w[x])
+        assert w[tm[x]] == tn[w[x]]
         for y in range(x, size):
             assert w[m.group.add(x, y)] == n.group.add(w[x], w[y])
 
@@ -105,9 +105,10 @@ def test_linear_module_basics():
     m = linear_module(9, 4)
     assert m.order == 9
     assert m.provenance == ("linear", 9, 4)
+    t = m.t_action.element_map
     for x in range(9):
-        assert m.t(x) == 4 * x % 9
-        assert m.one_minus_t_map[x] == (x - m.t(x)) % 9
+        assert t[x] == 4 * x % 9
+        assert m.one_minus_t_map[x] == (x - t[x]) % 9
     with pytest.raises(ValueError):
         linear_module(9, 3)
     with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ def test_polynomial_quotient_annihilated_by_its_polynomial():
             for c in p.coeffs:
                 scaled = g.index_of(tuple(c * a for a in g.coords(power)))
                 acc = g.add(acc, scaled)
-                power = m.t(power)
+                power = m.t_action.element_map[power]
             assert acc == 0, (p, x)
 
 
@@ -139,7 +140,7 @@ def test_degree_one_quotient_is_linear():
 def test_t_inverse_and_one_minus_t():
     for m in enumerate_structures(8):
         for x in range(8):
-            assert m.group.add(m.t(x), m.one_minus_t_map[x]) == x
+            assert m.group.add(m.t_action.element_map[x], m.one_minus_t_map[x]) == x
 
 
 def test_one_minus_t_map_matches_coordinates():
@@ -180,6 +181,9 @@ def test_direct_sum_order_and_trivial_identity():
     assert s.group.invariant_factors == (2, 2, 2)
     assert direct_sum(trivial_module(), a) is a
     assert direct_sum(a, trivial_module()) is a
+    assert direct_sum(a) is a
+    assert direct_sum() == trivial_module()
+    assert direct_sum().provenance == ("sum", ())
 
 
 def test_direct_sum_commutes_and_associates_up_to_iso():
@@ -196,22 +200,42 @@ def test_direct_sum_commutes_and_associates_up_to_iso():
     assert_valid_witness(left, right, w)
 
 
-def test_direct_sum_all_provenance_sorted():
+def test_direct_sum_provenance_sorted():
     comps = [linear_module(4, 3), linear_module(2, 1), linear_module(3, 2)]
-    s = direct_sum_all(comps)
+    s = direct_sum(*comps)
     assert s.provenance[0] == "sum"
     descs = list(s.provenance[1])
     assert descs == sorted(descs, key=descriptor_key)
     assert s.order == 24
 
 
+def test_direct_sum_adds_pieces_left_to_right():
+    # each partial sum is recoordinatized before the next piece joins it
+    a, b = linear_module(4, 3), linear_module(2, 1)
+    c = module_from_polynomial(Polynomial(2, (1, 1, 1)))
+    s, nested = direct_sum(a, b, c), direct_sum(direct_sum(a, b), c)
+    assert s == nested
+    assert s.provenance == nested.provenance
+
+
+def test_direct_sum_with_an_unnamed_piece_has_no_provenance():
+    # Im(1-t) of linear:8:3 is Z4 with t = 3, built without a descriptor
+    im = image_one_minus_t(linear_module(8, 3)).as_module
+    assert im.provenance is None
+    c = linear_module(3, 2)
+    named = direct_sum(linear_module(4, 3), c)
+    for s in (direct_sum(im, c), direct_sum(c, im)):
+        assert s.provenance is None
+        assert lambda_iso(s, named) is not None
+
+
 def test_image_closed_under_operations():
     for m in enumerate_structures(9):
         sub = image_one_minus_t(m)
-        members = set(sub.member_indices)
+        members = set(sub.from_abstract)
         assert 0 in members
         for x in members:
-            assert m.t(x) in members
+            assert m.t_action.element_map[x] in members
             for y in members:
                 assert m.group.add(x, y) in members
         # image really is {(1-t)x : x in M}
@@ -224,7 +248,7 @@ def test_image_size_matches_linear_formula():
             if math.gcd(n, a) != 1:
                 continue
             m = linear_module(n, a)
-            assert len(image_one_minus_t(m).member_indices) == n_cap(n, a)
+            assert len(image_one_minus_t(m).from_abstract) == n_cap(n, a)
 
 
 def test_image_power_two_is_image_of_image():
@@ -233,11 +257,11 @@ def test_image_power_two_is_image_of_image():
     for _, m in named_candidates(8):
         im1 = image_one_minus_t(m)
         im2 = image_one_minus_t(im1.as_module)
-        expected = {one_minus_t_reference(m, x) for x in im1.member_indices}
-        assert {im1.from_abstract[i] for i in im2.member_indices} == expected
+        expected = {one_minus_t_reference(m, x) for x in im1.from_abstract}
+        assert {im1.from_abstract[i] for i in im2.from_abstract} == expected
     im1 = image_one_minus_t(linear_module(8, 3))
     im2 = image_one_minus_t(im1.as_module)
-    assert sorted(im1.from_abstract[i] for i in im2.member_indices) == [0, 4]
+    assert sorted(im1.from_abstract[i] for i in im2.from_abstract) == [0, 4]
     assert im2.as_module.group.invariant_factors == (2,)
 
 
@@ -252,24 +276,25 @@ def test_submodule_coordinate_maps_invert():
     m = module_from_polynomial(Polynomial(2, (1, 1, 1, 1)))
     sub = image_one_minus_t(m)
     to_abstract = invert(sub.from_abstract)
-    for parent_idx in sub.member_indices:
+    for parent_idx in sorted(sub.from_abstract):
         assert sub.from_abstract[to_abstract[parent_idx]] == parent_idx
     # abstract module mirrors the induced t-action
-    inner = sub.as_module
-    for parent_idx in sub.member_indices:
-        assert inner.t(to_abstract[parent_idx]) == to_abstract[m.t(parent_idx)]
+    inner_t, t = sub.as_module.t_action.element_map, m.t_action.element_map
+    for parent_idx in sorted(sub.from_abstract):
+        assert inner_t[to_abstract[parent_idx]] == to_abstract[t[parent_idx]]
 
 
 def assert_module_isomorphism(members, add, t, abstract, from_abstract):
     """from_abstract is an additive bijection from abstract onto members that
-    commutes with t; which index each member gets is not checked."""
+    commutes with t (an element map); which index each member gets is not
+    checked."""
     to_abstract = invert(from_abstract)
     assert sorted(to_abstract) == sorted(members)
     assert sorted(to_abstract.values()) == list(range(abstract.order))
-    abstract_add = abstract.group.add
+    abstract_add, abstract_t = abstract.group.add, abstract.t_action.element_map
     for x in members:
         ax = to_abstract[x]
-        assert to_abstract[t(x)] == abstract.t(ax)
+        assert to_abstract[t[x]] == abstract_t[ax]
         for y in members:
             assert to_abstract[add(x, y)] == abstract_add(ax, to_abstract[y])
 
@@ -289,11 +314,11 @@ def test_recoordinatized_images_are_module_isomorphisms():
             for parent in (m, image_one_minus_t(m).as_module):
                 sub = image_one_minus_t(parent)
                 assert_module_isomorphism(
-                    sub.member_indices, parent.group.add, parent.t, sub.as_module,
-                    sub.from_abstract,
+                    set(parent.one_minus_t_map), parent.group.add,
+                    parent.t_action.element_map, sub.as_module, sub.from_abstract,
                 )
                 to_abstract = invert(sub.from_abstract)
-                for x in sub.member_indices:
+                for x in sorted(sub.from_abstract):
                     assert sub.from_abstract[to_abstract[x]] == x
                 assert_t_action_validates(sub.as_module)
 
@@ -310,7 +335,7 @@ def _direct_sum_atoms():
 
 
 def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
-    """Every recoordinatization inside direct_sum_all over pairs of atoms of
+    """Every recoordinatization inside direct_sum over pairs of atoms of
     product at most 72 and triples of product at most 64; the triples reach
     targets with three factor sizes, such as (2, 4, 8).
 
@@ -336,7 +361,7 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
     targets = set()
     for pieces in sums:
         calls.clear()
-        s = direct_sum_all(pieces)
+        s = direct_sum(*pieces)
         assert len(calls) == len(pieces) - 1
         assert calls[-1][-1][0] == s
         left = pieces[0]
@@ -344,12 +369,12 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
             abstract, from_abstract = out
             n1 = left.order
             add1, add2 = left.group.add, right.group.add
+            t1, t2 = left.t_action.element_map, right.t_action.element_map
 
             def add(x, y):
                 return add1(x % n1, y % n1) + n1 * add2(x // n1, y // n1)
 
-            def t(x):
-                return left.t(x % n1) + n1 * right.t(x // n1)
+            t = [t1[x % n1] + n1 * t2[x // n1] for x in range(n1 * right.order)]
 
             assert list(members) == list(range(n1 * right.order))
             for x in members:  # the orders handed in are the additive orders
@@ -358,7 +383,7 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
                     y = add(y, x)
                     k += 1
                 assert orders[x] == k
-                assert t_map[x] == t(x)
+                assert t_map[x] == t[x]
             for y in members:
                 row = translate(y)
                 assert all(row[x] == add(x, y) for x in members)
@@ -385,14 +410,13 @@ def test_module_construction_never_calls_mixed_radix_add(monkeypatch):
     def build():
         mods = [module_from_descriptor(d) for d in descs]
         mods.append(module_from_json_dict(data))
-        mods.append(direct_sum_all(mods[:3]))
+        mods.append(direct_sum(*mods[:3]))
         out = []
         for m in mods:
             sub = image_one_minus_t(m)
             out.append((
                 m.group.invariant_factors,
                 m.t_action.element_map,
-                sub.member_indices,
                 sub.from_abstract,
                 sub.as_module.t_action.element_map,
             ))
@@ -542,7 +566,8 @@ def random_conjugate(m: LambdaModule, rng: random.Random) -> LambdaModule:
             break
         except ValueError:  # not an automorphism; draw again
             pass
-    images = tuple(phi(m.t(phi.element_map.index(e))) for e in gens)
+    t, phi_map = m.t_action.element_map, phi.element_map
+    images = tuple(phi_map[t[phi_map.index(e)]] for e in gens)
     return module_from_pair(g, GroupAutomorphism(g, images))
 
 
@@ -578,10 +603,12 @@ def greedy_t_generators(m: LambdaModule, pool=None) -> tuple[int, ...]:
     size = m.order
     orders = [m.group.element_order(x) for x in range(size)]
 
+    t = m.t_action.element_map
+
     def orbit(x):
         out = [x]
-        while m.t(out[-1]) != x:
-            out.append(m.t(out[-1]))
+        while t[out[-1]] != x:
+            out.append(t[out[-1]])
         return out
 
     if pool is None:
@@ -720,7 +747,7 @@ def test_primary_parts_sum_to_the_module():
     for n in (6, 10, 12, 18, 20):
         for desc, module in named_candidates(n):
             parts = [module_from_descriptor(primary_part(desc, p)) for p in factorize(n)]
-            assert lambda_iso(module, direct_sum_all(parts)) is not None, desc
+            assert lambda_iso(module, direct_sum(*parts)) is not None, desc
 
 
 def test_identify_round_trip():
@@ -728,6 +755,26 @@ def test_identify_round_trip():
         got = identify_as_quotient(m)
         assert lambda_iso(module_from_descriptor(got), m) is not None
     assert identify_as_quotient(trivial_module()) == ("sum", ())
+
+
+def test_identify_builds_candidates_only_up_to_the_match(monkeypatch):
+    built = []
+    build = lambda_module.module_from_descriptor
+
+    def counting(desc):
+        built.append(desc)
+        return build(desc)
+
+    monkeypatch.setattr(lambda_module, "module_from_descriptor", counting)
+    descs = candidate_descriptors(27)
+    assert identify_as_quotient(linear_module(27, 5)) == ("linear", 27, 5)
+    assert built == descs[: descs.index(("linear", 27, 5)) + 1]
+
+
+def test_identify_returns_none_without_a_named_match():
+    # pair:3,9:2,0;1,2 is isomorphic to no linear, poly or sum module of order 27
+    m = module_from_descriptor(("pair", (3, 9), ((2, 0), (1, 2))))
+    assert identify_as_quotient(m) is None
 
 
 def test_identify_splits_cyclic_quotient():

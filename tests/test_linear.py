@@ -38,7 +38,7 @@ def test_n_cap_values():
         for a in units(n):
             cap = n_cap(n, a)
             assert n % cap == 0
-            assert cap == len(image_one_minus_t(linear_module(n, a)).member_indices)
+            assert cap == len(image_one_minus_t(linear_module(n, a)).from_abstract)
 
 
 def test_input_validation():

@@ -52,9 +52,9 @@ def cell_oracle(m):
         ca, cb = g.coords(a), g.coords(b)
         return g.index_of([(u + sign * v) % d for u, v, d in zip(ca, cb, facs)])
 
-    n = m.order
-    omt = [combine(y, m.t(y), -1) for y in range(n)]
-    return tuple(tuple(combine(m.t(x), omt[y], 1) for y in range(n)) for x in range(n))
+    n, t = m.order, m.t_action.element_map
+    omt = [combine(y, t[y], -1) for y in range(n)]
+    return tuple(tuple(combine(t[x], omt[y], 1) for y in range(n)) for x in range(n))
 
 
 def relabel(tab, sigma):
@@ -321,6 +321,11 @@ def test_theorem1_known_pairs():
     assert not theorem1_iso(linear_module(8, 3), linear_module(9, 4))
 
 
+def test_construct_iso_rejects_different_orders():
+    with pytest.raises(ValueError, match="different orders"):
+        construct_quandle_iso(linear_module(8, 3), linear_module(9, 4))
+
+
 def test_construct_iso_builds_verified_witness():
     m = linear_module(9, 4)
     n = linear_module(9, 7)
@@ -364,10 +369,11 @@ def test_construct_iso_accepts_explicit_submodule_map(monkeypatch):
     checked = 0
     for m, n, h in submodule_isomorphisms(8):
         target = image_one_minus_t(n).as_module
+        t = target.t_action.element_map
         tm, tn = alexander_table(m), alexander_table(n)
         for a in enumerate_automorphisms(target.group):
             emap = a.element_map
-            if any(emap[target.t(x)] != target.t(emap[x]) for x in range(target.order)):
+            if any(emap[t[x]] != t[emap[x]] for x in range(target.order)):
                 continue
             fed[0] = tuple(emap[y] for y in h)
             w = construct_quandle_iso(m, n)
