@@ -40,7 +40,6 @@ from .lambda_module import (
     module_from_pair,
     module_from_polynomial,
     named_candidates,
-    trivial_module,
 )
 from .linear import linear_connected, linear_dual, linear_iso, linear_self_dual, n_cap
 from .quandle import (
@@ -86,7 +85,6 @@ __all__ = [
     "module_from_pair",
     "module_from_polynomial",
     "named_candidates",
-    "trivial_module",
     "linear_connected",
     "linear_dual",
     "linear_iso",

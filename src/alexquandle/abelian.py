@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, product
 
 
@@ -211,15 +211,6 @@ class AbelianGroup:
             p *= d
         return tuple(rows)
 
-    def addition_row(self, z: int) -> tuple[int, ...]:
-        """Row z of the addition table, ``row[x] == self.add(z, x)``; see
-        the module-level ``addition_row``.
-
-        >>> AbelianGroup((2, 4)).addition_row(3)
-        (3, 2, 5, 4, 7, 6, 1, 0)
-        """
-        return addition_row(self.invariant_factors, z)
-
     def element_order(self, x: int) -> int:
         order = 1
         for d in self.invariant_factors:
@@ -340,8 +331,8 @@ class GroupAutomorphism:
     image of an order-d generator must have order dividing d) and
     bijectivity, and builds the full element map additively by one
     ``iter_embeddings`` pass over the given images, translating along
-    ``group.addition_row``. Parsed input and ``pair`` descriptors go
-    through it.
+    the rows ``addition_row(group.invariant_factors, y)``. Parsed input
+    and ``pair`` descriptors go through it.
 
     ``iter_automorphisms`` and the recoordinatization of Im(1-t) and
     direct sums build through the trusted ``_trusted`` path instead, which
@@ -374,7 +365,8 @@ class GroupAutomorphism:
                     f"{g.element_order(y)}; the map is not well defined"
                 )
         candidates = [(y,) for y in images]
-        found = next(iter_embeddings(facs, candidates, g.addition_row), None)
+        rows = partial(addition_row, facs)
+        found = next(iter_embeddings(facs, candidates, rows), None)
         if found is None:
             raise ValueError("induced endomorphism is not a bijection")
         object.__setattr__(self, "element_map", found[1])

@@ -109,7 +109,7 @@ def enumerate_structures(n: int) -> list[LambdaModule]:
     if n < 1:
         raise ValueError(f"no structures of order {n}")
     return [
-        module_from_pair(group, a)
+        module_from_pair(a)
         for group in abelian_groups_of_order(n)
         for a in enumerate_automorphisms(group)
     ]
@@ -148,7 +148,7 @@ def _classify_prime_power(q: int):
 
     for group in abelian_groups_of_order(q):
         for aut, weight in automorphism_classes(group):
-            place(module_from_pair(group, aut)).weight += weight
+            place(module_from_pair(aut)).weight += weight
     named = {desc: place(cand) for desc, cand in named_candidates(q)}
     return [c for bucket in buckets.values() for c in bucket], named
 

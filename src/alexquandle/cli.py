@@ -4,6 +4,10 @@ Module specs:
     linear:n:a          Z_n with t = multiplication by a, gcd(n, a) = 1
     poly:n:c0,c1,...,1  Z_n[t] / (c0 + c1 t + ... + t^d), ascending, monic
     sum:<spec>+<spec>   direct sum of two or more non-sum specs
+    0                   the trivial module, as classify 1 names it
+    pair:F:I            t on the group Z_d1 + ... + Z_dk given inline, as
+                        classify prints it: F is d1,...,dk and I the
+                        coordinates of t(e_1);...;t(e_k), e.g. pair:3,9:2,0;1,2
     pair:@file.json     {"invariant_factors": [...], "t_generator_images": [[...], ...]}
     table:@file         a raw table, JSON {"order": n, "table": [[...]]} or
                         whitespace-separated rows
@@ -32,6 +36,7 @@ from .lambda_module import (
     identify_as_quotient,
     image_one_minus_t,
     linear_module,
+    module_from_descriptor,
     module_from_json_dict,
     module_from_polynomial,
 )
@@ -69,6 +74,19 @@ def _parse_int(token: str, position: int) -> int:
         raise SpecParseError(f"expected an integer, got {token!r}", position) from None
 
 
+def _fields(text: str, position: int, sep: str):
+    """Yield each sep-separated field of text, which starts at position,
+    with the position of the field."""
+    for field in text.split(sep):
+        yield field, position
+        position += len(field) + 1
+
+
+def _parse_ints(text: str, position: int) -> tuple[int, ...]:
+    """The comma-separated integers of text, which starts at position."""
+    return tuple(_parse_int(token, at) for token, at in _fields(text, position, ","))
+
+
 def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -83,6 +101,8 @@ def parse_spec(text: str, base: int = 0):
     SpecParseError (syntax, with offending position) is distinct from
     ValueError (well-formed but invalid values, e.g. gcd(n, a) != 1).
     """
+    if text == "0":
+        return direct_sum()
     if text.startswith("linear:"):
         body = text[7:]
         parts = body.split(":")
@@ -97,18 +117,11 @@ def parse_spec(text: str, base: int = 0):
         if len(parts) != 2:
             raise SpecParseError("poly spec needs exactly poly:n:c0,c1,...", base + 5)
         n = _parse_int(parts[0], base + 5)
-        coeff_base = base + 6 + len(parts[0])
-        coeffs = []
-        offset = 0
-        for token in parts[1].split(","):
-            coeffs.append(_parse_int(token, coeff_base + offset))
-            offset += len(token) + 1
-        return module_from_polynomial(Polynomial(n, tuple(coeffs)))
+        coeffs = _parse_ints(parts[1], base + 6 + len(parts[0]))
+        return module_from_polynomial(Polynomial(n, coeffs))
     if text.startswith("sum:"):
-        body = text[4:]
-        offset = base + 4
         modules = []
-        for comp in body.split("+"):
+        for comp, offset in _fields(text[4:], base + 4, "+"):
             if comp.startswith("sum:"):
                 raise SpecParseError("sum components cannot be sums", offset)
             if not comp:
@@ -117,14 +130,24 @@ def parse_spec(text: str, base: int = 0):
             if not isinstance(part, LambdaModule):
                 raise SpecParseError("sum components must be modules", offset)
             modules.append(part)
-            offset += len(comp) + 1
         if len(modules) < 2:
             raise SpecParseError("sum needs at least two components", base + 4)
         return direct_sum(*modules)
     if text.startswith("pair:"):
         body = text[5:]
         if not body.startswith("@"):
-            raise SpecParseError("pair spec takes a file: pair:@file.json", base + 5)
+            parts = body.split(":")
+            if len(parts) != 2:
+                raise SpecParseError(
+                    "pair spec needs pair:d1,...,dk:image;...;image or pair:@file.json",
+                    base + 5,
+                )
+            factors = _parse_ints(parts[0], base + 5)
+            images = tuple(
+                _parse_ints(image, at)
+                for image, at in _fields(parts[1], base + 6 + len(parts[0]), ";")
+            )
+            return module_from_descriptor(("pair", factors, images))
         try:
             data = json.loads(_read_file(body[1:]))
         except json.JSONDecodeError as exc:
@@ -142,7 +165,7 @@ def parse_spec(text: str, base: int = 0):
                 raise ValueError(f"bad JSON in {body[1:]}: {exc}") from None
         return table_from_text(raw)
     raise SpecParseError(
-        "spec must start with linear:, poly:, sum:, pair:@, or table:@", base
+        "spec must be 0 or start with linear:, poly:, sum:, pair:, or table:@", base
     )
 
 

@@ -4,8 +4,7 @@ A finite module is a finite abelian group together with an automorphism
 giving the action of t (invertibility of t forces an automorphism). The
 constructors cover the standard finite quotients: Z_n with t acting as a
 unit a, quotients of Z_n[t] by a monic polynomial with unit constant term
-(companion-matrix action), direct sums, and raw (group, automorphism)
-pairs.
+(companion-matrix action), direct sums, and raw automorphisms of a group.
 
 Modules carry an optional provenance descriptor recording how they were
 built; descriptors double as canonical names during classification.
@@ -146,19 +145,19 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class LambdaModule:
-    """A finite abelian group with a distinguished automorphism t.
+    """A finite abelian group with a distinguished automorphism t, held as
+    t alone: the group is the one t acts on.
 
     The quandle x ^ y = t(x) + (1-t)(y) reads two element maps, each built
     once: ``t_action.element_map`` and ``one_minus_t_map``.
     """
 
-    group: AbelianGroup
     t_action: GroupAutomorphism
     provenance: tuple | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if self.t_action.group != self.group:
-            raise ValueError("t acts on a different group")
+    @property
+    def group(self) -> AbelianGroup:
+        return self.t_action.group
 
     @property
     def order(self) -> int:
@@ -182,7 +181,7 @@ class LambdaModule:
         u = [0]
         for d, e in zip(g.invariant_factors, g.generator_indices()):
             ue = g.index_of(tuple(map(int.__sub__, g.coords(e), g.coords(t[e]))))
-            shift = g.addition_row(ue).__getitem__
+            shift = addition_row(g.invariant_factors, ue).__getitem__
             block = u
             for _ in range(1, d):
                 block = list(map(shift, block))
@@ -198,17 +197,11 @@ class LambdaModule:
         return {}
 
 
-def trivial_module() -> LambdaModule:
-    group = AbelianGroup(())
-    return LambdaModule(group, GroupAutomorphism(group, ()), ("sum", ()))
-
-
-def module_from_pair(group: AbelianGroup, phi: GroupAutomorphism) -> LambdaModule:
-    """The module on group with t acting as the automorphism phi."""
-    if phi.group != group:
-        raise ValueError("automorphism belongs to a different group")
+def module_from_pair(phi: GroupAutomorphism) -> LambdaModule:
+    """The module on phi's group with t acting as phi."""
+    group = phi.group
     images = tuple(group.coords(phi.element_map[e]) for e in group.generator_indices())
-    return LambdaModule(group, phi, ("pair", group.invariant_factors, images))
+    return LambdaModule(phi, ("pair", group.invariant_factors, images))
 
 
 def linear_module(n: int, a: int) -> LambdaModule:
@@ -218,9 +211,8 @@ def linear_module(n: int, a: int) -> LambdaModule:
     a %= n
     if math.gcd(n, a) != 1:
         raise ValueError(f"gcd({n}, {a}) != 1, so t would not act invertibly")
-    group = AbelianGroup((n,))
-    t = GroupAutomorphism(group, (a,))
-    return LambdaModule(group, t, ("linear", n, a))
+    t = GroupAutomorphism(AbelianGroup((n,)), (a,))
+    return LambdaModule(t, ("linear", n, a))
 
 
 def module_from_polynomial(p: Polynomial) -> LambdaModule:
@@ -236,7 +228,7 @@ def module_from_polynomial(p: Polynomial) -> LambdaModule:
     images = list(gens[1:])
     images.append(group.index_of(tuple((-c) % n for c in coeffs[:d])))
     t = GroupAutomorphism(group, tuple(images))
-    return LambdaModule(group, t, ("poly", n, coeffs))
+    return LambdaModule(t, ("poly", n, coeffs))
 
 
 def _recoordinatize(members, translate, t_map, orders):
@@ -264,8 +256,6 @@ def _recoordinatize(members, translate, t_map, orders):
     members = sorted(members)
     if members[0] != 0:
         raise ValueError("identity element 0 missing from member set")
-    if len(members) == 1:
-        return trivial_module(), (0,)
 
     target = invariant_factors_from_element_orders(map(orders.__getitem__, members))
     desc = tuple(reversed(target))
@@ -290,17 +280,18 @@ def _recoordinatize(members, translate, t_map, orders):
     group = AbelianGroup(target)
     t_images = tuple(t_abstract[e] for e in group.generator_indices())
     taut = GroupAutomorphism._trusted(group, t_images, t_abstract)
-    return LambdaModule(group, taut), from_abstract
+    return LambdaModule(taut), from_abstract
 
 
 def direct_sum(*modules: LambdaModule) -> LambdaModule:
     """The direct sum of any number of modules, in invariant-factor coordinates.
 
     Pieces of order 1 are skipped: with no other piece the sum is the
-    trivial module, and with one it is that piece. The others are added
-    left to right, and each partial sum is recoordinatized before the
-    next piece joins it. The provenance is the ``sum_descriptor`` of the
-    pieces when every piece has one, and None otherwise.
+    trivial module, named by the empty sum, and with one it is that
+    piece. The others are added left to right, and each partial sum is
+    recoordinatized before the next piece joins it. The provenance is
+    the ``sum_descriptor`` of the pieces when every piece has one, and
+    None otherwise.
 
     Adding m2 to m1, the pair (a, b) has index a + |m1|*b, mixed-radix
     over m1's factors followed by m2's. That sequence need not be a
@@ -312,8 +303,10 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
     AbelianGroup(invariant_factors=(2, 6))
     """
     pieces = [m for m in modules if m.order > 1]
-    if len(pieces) <= 1:
-        return pieces[0] if pieces else trivial_module()
+    if not pieces:
+        return LambdaModule(GroupAutomorphism(AbelianGroup(()), ()), ("sum", ()))
+    if len(pieces) == 1:
+        return pieces[0]
     out = pieces[0]
     for m in pieces[1:]:
         n1 = out.order
@@ -355,9 +348,10 @@ def image_one_minus_t(module: LambdaModule) -> Submodule:
         u = module.one_minus_t_map
         # a member's order in the submodule is its order in the whole group
         g = module.group
+        facs = g.invariant_factors
         abstract, from_abstract = _recoordinatize(
-            set(u), g.addition_row, module.t_action.element_map,
-            element_orders(g.invariant_factors),
+            set(u), partial(addition_row, facs), module.t_action.element_map,
+            element_orders(facs),
         )
         # 1 - t is additive, so the images of the group generators span
         # the image; for a t-cyclic module such as a linear or polynomial
@@ -559,7 +553,7 @@ def _t_generator_search(m: LambdaModule, n: LambdaModule):
     H is all of m the map is defined everywhere; it commutes with t
     because phi(t^k x) is t^k y for every generator x.
     """
-    if m.order != n.order or module_certificate(m) != module_certificate(n):
+    if module_certificate(m) != module_certificate(n):
         return None
     size = m.order
     addm, addn = m.group.add, n.group.add
@@ -727,7 +721,7 @@ def module_from_descriptor(desc) -> LambdaModule:
         return direct_sum(*map(module_from_descriptor, desc[1]))
     group = AbelianGroup(tuple(desc[1]))
     images = tuple(group.index_of(c) for c in desc[2])
-    return module_from_pair(group, GroupAutomorphism(group, images))
+    return module_from_pair(GroupAutomorphism(group, images))
 
 
 def module_from_json_dict(data) -> LambdaModule:

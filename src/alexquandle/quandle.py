@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import eq, itemgetter
 
+from .abelian import addition_row
 from .lambda_module import (
     LambdaModule,
     image_one_minus_t,
@@ -26,7 +27,8 @@ class QuandleTable:
     """A square operation table; rows[x][y] is x ^ y.
 
     Entry ranges are deliberately not validated here so that check_axioms
-    can report malformed tables; a non-square table is rejected outright.
+    can report malformed tables; an empty or non-square table is rejected
+    outright.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -34,6 +36,8 @@ class QuandleTable:
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
+        if not rows:
+            raise ValueError("empty table")
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("table is not square")
 
@@ -301,12 +305,12 @@ def _columns(module: LambdaModule):
     (1-t)(s) = z, read from addition row z at t(x) and built once per z
     in a dict owned by the returned function."""
     at_t = itemgetter(*module.t_action.element_map)
-    row = module.group.addition_row
+    facs = module.group.invariant_factors
     built: dict[int, tuple[int, ...]] = {}
 
     def column(z: int) -> tuple[int, ...]:
         if z not in built:
-            built[z] = at_t(row(z))
+            built[z] = at_t(addition_row(facs, z))
         return built[z]
 
     return column
@@ -462,6 +466,4 @@ def table_from_text(text: str) -> QuandleTable:
         line = line.strip()
         if line:
             rows.append(tuple(int(v) for v in line.split()))
-    if not rows:
-        raise ValueError("empty table")
     return QuandleTable(tuple(rows))

@@ -149,7 +149,7 @@ def test_addition_table_matches_add():
             assert len(rows) == n
             for z in range(g.order):
                 assert len(rows[z]) == n
-                assert g.addition_row(z) == rows[z]
+                assert addition_row(g.invariant_factors, z) == rows[z]
                 for x in range(g.order):
                     assert rows[z][x] == g.add(z, x)
 
@@ -338,6 +338,17 @@ def test_conjugacy_classes_rejects_non_closed():
     auts = enumerate_automorphisms(g)
     with pytest.raises(ValueError):
         conjugacy_classes(auts[:2])  # {id, x->2x} is not closed
+
+
+@pytest.mark.parametrize(
+    "orders, message",
+    [((), "empty"), ((3, 5), "mixed groups"), ((3, 3), "duplicate")],
+)
+def test_conjugacy_classes_rejects_malformed_input(orders, message):
+    # the identities of Z_n for each n in orders
+    auts = [GroupAutomorphism(AbelianGroup((n,)), (1,)) for n in orders]
+    with pytest.raises(ValueError, match=message):
+        conjugacy_classes(auts)
 
 
 def test_invariant_factors_from_element_orders_roundtrip():

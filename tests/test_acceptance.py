@@ -194,7 +194,7 @@ def test_criterion_7_property_suites():
     for n in range(1, 16):
         tables.extend(alexander_table(m) for m in enumerate_structures(n))
     tables.extend(
-        alexander_table(module_from_pair(g, aut))
+        alexander_table(module_from_pair(aut))
         for g in abelian_groups_of_order(16)
         for aut, _ in automorphism_classes(g)
     )

@@ -128,7 +128,7 @@ def test_classify_order_1():
 
 def test_structures_on_z2_x_z4_fall_into_three_classes():
     g = AbelianGroup((2, 4))
-    mods = [module_from_pair(g, a) for a in enumerate_automorphisms(g)]
+    mods = [module_from_pair(a) for a in enumerate_automorphisms(g)]
     assert len(mods) == 8
     named = [
         linear_module(8, 1),
@@ -221,6 +221,13 @@ def test_poly_connected_matches_orbit_computation():
                 poly = Polynomial(p, coeffs)
                 tab = alexander_table(module_from_polynomial(poly))
                 assert poly_connected(p, poly) == is_connected(tab), poly
+
+
+def test_poly_connected_rejects_a_non_prime_or_a_foreign_modulus():
+    with pytest.raises(ValueError, match="not prime"):
+        poly_connected(4, Polynomial(4, (1, 1)))
+    with pytest.raises(ValueError, match="not Z_3"):
+        poly_connected(3, Polynomial(2, (1, 1)))
 
 
 def test_report_json_shape():

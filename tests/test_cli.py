@@ -15,9 +15,9 @@ import warnings
 import pytest
 
 import alexquandle.cli as cli
-from alexquandle.classify import count_table
+from alexquandle.classify import classify_order, count_table
 from alexquandle.cli import SpecParseError, main, parse_spec
-from alexquandle.lambda_module import LambdaModule
+from alexquandle.lambda_module import LambdaModule, descriptor_str
 from alexquandle.quandle import QuandleTable, alexander_table, is_quandle_iso
 from alexquandle.lambda_module import linear_module
 
@@ -73,7 +73,9 @@ def test_axioms_pass_and_fail(capsys, tmp_path):
 
 
 def test_malformed_specs_exit_2(capsys):
-    for spec in ["linear:8", "linear:8:x", "foo:3", "sum:linear:4:1", "pair:direct"]:
+    for spec in [
+        "linear:8", "linear:8:x", "foo:3", "sum:linear:4:1", "pair:direct", "pair:3,9:x"
+    ]:
         code, _, err = run(capsys, ["axioms", spec])
         assert code == 2, spec
         assert err.startswith("spec error:"), spec
@@ -86,6 +88,9 @@ def test_invalid_values_exit_3(capsys, tmp_path):
     assert err.startswith("invalid input:")
     code, _, err = run(capsys, ["build", "poly:4:2,1"])  # non-unit constant
     assert code == 3
+    code, _, err = run(capsys, ["build", "pair:3,9:2,0"])  # one image, two factors
+    assert code == 3
+    assert err == "invalid input: need one generator image per invariant factor\n"
     oor = tmp_path / "oor.txt"
     oor.write_text("0 9\n1 0\n")
     code, _, err = run(capsys, ["build", f"table:@{oor}"])
@@ -98,6 +103,19 @@ def test_invalid_values_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, ["axioms", f"table:@{fractional}"])
     assert (code, out) == (3, "")
     assert err.startswith("invalid input:")
+    # an empty table once passed the axioms as JSON, and was refused as text
+    for name, text, message in [
+        ("blank.txt", " \n\n", "empty table"),
+        ("empty.json", json.dumps({"order": 0, "table": []}), "empty table"),
+        ("broken.json", "{not json", "bad JSON in"),
+        ("keyless.json", json.dumps({"order": 1}), "bad table JSON"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        for command in ("axioms", "orbits"):
+            code, out, err = run(capsys, [command, f"table:@{path}"])
+            assert (code, out) == (3, ""), (name, command)
+            assert err.startswith(f"invalid input: {message}"), (name, command)
 
 
 def test_build_of_a_table_that_breaks_an_axiom_exits_3(capsys, tmp_path):
@@ -190,6 +208,24 @@ def test_parse_spec_positions():
     with pytest.raises(SpecParseError) as exc:
         parse_spec("sum:linear:2:1+sum:linear:2:1+linear:2:1")
     assert exc.value.position == 15
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec("pair:3,x:2,0;1,2")
+    assert exc.value.position == 7
+    with pytest.raises(SpecParseError) as exc:
+        parse_spec("sum:linear:2:1+pair:3,9:2,0;1,y")
+    assert exc.value.position == 30
+
+
+def test_classify_representatives_parse_back():
+    # classify names some classes by inline pair specs (four at order 27)
+    # and the trivial quandle by the empty sum "0", which the CLI once
+    # refused as "pair spec takes a file" and as no spec at all
+    orders = (1, 16, 27, 48)
+    reps = [c.representative for n in orders for c in classify_order(n).classes]
+    assert sum(r[0] == "pair" for r in reps) == 4
+    assert ("sum", ()) in reps
+    for rep in reps:
+        assert parse_spec(descriptor_str(rep)).provenance == rep
 
 
 def test_iso_true_false_and_witness(capsys):
@@ -338,6 +374,11 @@ def test_pair_spec_from_file(capsys, tmp_path):
     code, _, err = run(capsys, ["iso", f"pair:@{path}", "linear:4:3"])
     assert code == 3
     assert "bad module JSON" in err
+    path.write_text(
+        json.dumps({"invariant_factors": [4], "t_generator_images": [[1, 2]]})
+    )
+    code, _, err = run(capsys, ["iso", f"pair:@{path}", "linear:4:3"])
+    assert (code, err) == (3, "invalid input: expected 1 coordinates, got 2\n")
 
 
 def test_linear_subcommands(capsys):

@@ -91,7 +91,7 @@ def test_deciders_agree_on_conjugated_t(desc, k):
     t, phi_map = m.t_action.element_map, phi.element_map
     images = (phi_map[t[phi_map.index(e)]] for e in m.group.generator_indices())
     t = GroupAutomorphism(m.group, tuple(images))
-    assert assert_deciders_agree(m, module_from_pair(m.group, t))
+    assert assert_deciders_agree(m, module_from_pair(t))
 
 
 @st.composite

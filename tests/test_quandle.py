@@ -20,7 +20,6 @@ from alexquandle.lambda_module import (
     module_from_pair,
     module_from_polynomial,
     named_candidates,
-    trivial_module,
 )
 from alexquandle import quandle
 from alexquandle.classify import enumerate_structures
@@ -77,6 +76,8 @@ def is_iso_oracle(t1, t2, mapping):
 
 
 def test_table_shape_validation():
+    with pytest.raises(ValueError, match="empty table"):
+        QuandleTable(())
     with pytest.raises(ValueError):
         QuandleTable(((0, 1), (1,)))
     with pytest.raises(ValueError):
@@ -239,7 +240,7 @@ def test_dual_is_involution_and_inverts_t():
         assert dual(dual(tab)) == tab
         gens = m.group.generator_indices()
         t_inverse = tuple(m.t_action.element_map.index(e) for e in gens)
-        inv = module_from_pair(m.group, GroupAutomorphism(m.group, t_inverse))
+        inv = module_from_pair(GroupAutomorphism(m.group, t_inverse))
         assert dual(tab) == alexander_table(inv)
 
 
@@ -471,7 +472,7 @@ def test_generators_are_greedy_and_generate_the_quandle():
 
 
 def test_generator_check_rejects_non_bijections_and_handles_order_one():
-    one = trivial_module()
+    one = direct_sum()
     assert quandle._carries_quandle(one, one, (0,))
     assert not quandle._carries_quandle(one, one, (1,))
     assert not quandle._carries_quandle(one, one, ())
