@@ -546,29 +546,28 @@ def _poly_mul(a, b, p: int) -> tuple[int, ...]:
     return tuple(c % p for c in out)
 
 
-def _monic_irreducibles(p: int, max_degree: int) -> list[tuple[int, ...]]:
-    """The monic irreducibles over F_p other than t, of degree 1..max_degree,
-    by degree and then by coefficients (ascending, leading 1 last).
+def _monic_irreducibles(p: int, max_degree: int):
+    """Yield the monic irreducibles over F_p other than t, of degree
+    1..max_degree, by degree and then by coefficients (ascending, leading
+    1 last).
 
     A sieve: the reducible monics of degree d are the products of a monic
-    of degree i <= d/2 and one of degree d - i.
+    of degree i <= d/2 and one of degree d - i. Degree d is sieved only
+    when the caller asks past degree d - 1.
 
-    >>> _monic_irreducibles(2, 3)
+    >>> list(_monic_irreducibles(2, 3))
     [(1, 1), (1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
     """
-    monics = {
-        d: [(*c, 1) for c in product(range(p), repeat=d)] for d in range(max_degree + 1)
-    }
-    out = []
+    monics = {}
     for d in range(1, max_degree + 1):
+        monics[d] = [(*c, 1) for c in product(range(p), repeat=d)]
         reducible = {
             _poly_mul(f, g, p)
             for i in range(1, d // 2 + 1)
             for f in monics[i]
             for g in monics[d - i]
         }
-        out.extend(f for f in monics[d] if f not in reducible and f[0])
-    return out
+        yield from (f for f in monics[d] if f not in reducible and f[0])
 
 
 def _centralizer_order(q: int, parts: tuple[int, ...]) -> int:
@@ -611,7 +610,7 @@ def gl_conjugacy_classes(p: int, k: int):
     group = AbelianGroup((p,) * k)
     gens = group.generator_indices()
     gl_order = math.prod(p**k - p**i for i in range(k))
-    irreducibles = _monic_irreducibles(p, k)
+    irreducibles = list(_monic_irreducibles(p, k))
 
     def forms(start: int, rest: int):
         # (f, partition) lists with sum deg(f) |partition| = rest, f from start on

@@ -43,6 +43,7 @@ from .lambda_module import (
 from .linear import linear_connected, linear_dual, linear_iso, linear_self_dual, n_cap
 from .quandle import (
     QuandleTable,
+    _decimal,
     alexander_table,
     brute_iso,
     check_axioms,
@@ -69,9 +70,9 @@ class SpecParseError(ValueError):
 
 def _parse_int(token: str, position: int) -> int:
     try:
-        return int(token)
-    except ValueError:
-        raise SpecParseError(f"expected an integer, got {token!r}", position) from None
+        return _decimal(token)
+    except ValueError as exc:
+        raise SpecParseError(str(exc), position) from None
 
 
 def _fields(text: str, position: int, sep: str):
@@ -204,16 +205,6 @@ def _emit_table(table: QuandleTable, args) -> None:
             data = data[sys.stdout.buffer.write(data):]
 
 
-def _max_order() -> int:
-    raw = os.environ.get("QUANDLE_MAX_ORDER", "")
-    if not raw:
-        return DEFAULT_MAX_ORDER
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"QUANDLE_MAX_ORDER must be an integer, got {raw!r}") from None
-
-
 def _cmd_build(args) -> int:
     module = parse_spec(args.spec)
     table = _as_table(module)
@@ -266,7 +257,7 @@ def _cmd_iso(args) -> int:
 def _cmd_dual(args) -> int:
     table = _as_table(parse_spec(args.spec))
     d = dual(table)
-    if args.self_check and dual(d).rows != table.rows:
+    if dual(d).rows != table.rows:
         print("internal error: dual is not an involution", file=sys.stderr)
         return 4
     _emit_table(d, args)
@@ -330,7 +321,11 @@ def _cmd_linear(args) -> int:
 
 
 def _check_guard(n: int) -> None:
-    guard = _max_order()
+    raw = os.environ.get("QUANDLE_MAX_ORDER", "")
+    try:
+        guard = int(raw) if raw else DEFAULT_MAX_ORDER
+    except ValueError:
+        raise ValueError(f"QUANDLE_MAX_ORDER must be an integer, got {raw!r}") from None
     if n > guard:
         raise ValueError(
             f"order {n} exceeds the guard {guard}; raise QUANDLE_MAX_ORDER to allow"
@@ -455,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("-o", "--output")
     p.add_argument("--format", choices=["text", "json"], default="json")
-    p.add_argument("--self-check", action="store_true")
     p.set_defaults(func=_cmd_dual)
 
     p = sub.add_parser("orbits", help="list orbits and connectivity")

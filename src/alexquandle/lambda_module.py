@@ -231,17 +231,16 @@ def module_from_polynomial(p: Polynomial) -> LambdaModule:
     return LambdaModule(t, ("poly", n, coeffs))
 
 
-def _recoordinatize(members, translate, t_map, orders):
+def _recoordinatize(members, factors, t_map):
     """Express the subgroup ``members`` of a finite abelian group in canonical form.
 
     members must contain 0 as the identity and be closed under addition
-    and under t. ``translate(y)`` is the addition row of y in the group
-    the members live in (``translate(y)[x]`` is x + y), ``t_map`` the
-    element map of t there, and ``orders[x]`` the additive order of x;
-    all three are sequences indexed by that group's elements, so nothing
-    here adds. Returns (module, from_abstract) where module has
-    invariant-factor coordinates and from_abstract[i] is the member with
-    abstract index i.
+    and under t. The group is Z_d1 + ... + Z_dk over ``factors``, indexed
+    mixed-radix as ``addition_row`` indexes it (the factors need not form
+    a divisibility chain), and ``t_map`` is the element map of t there.
+    Rows and additive orders are read from the factors, so nothing here
+    adds. Returns (module, from_abstract) where module has invariant-factor
+    coordinates and from_abstract[i] is the member with abstract index i.
 
     One ``iter_embeddings`` search picks a basis, largest factor first
     (smallest first would backtrack, e.g. on Z2+Z4 when the order-2 pick
@@ -257,13 +256,15 @@ def _recoordinatize(members, translate, t_map, orders):
     if members[0] != 0:
         raise ValueError("identity element 0 missing from member set")
 
+    # a member's order in the subgroup is its order in the whole group
+    orders = element_orders(factors)
     target = invariant_factors_from_element_orders(map(orders.__getitem__, members))
     desc = tuple(reversed(target))
 
     # a basis element for Z_d has order exactly d, both in the group and
     # relative to the span of the basis elements chosen before it
     cand = [tuple(g for g in members if orders[g] == d) for d in desc]
-    found = next(iter_embeddings(desc, cand, translate), None)
+    found = next(iter_embeddings(desc, cand, partial(addition_row, factors)), None)
     if found is None or set(found[1]) != set(members):
         raise ValueError("member set is not closed under the given addition")
 
@@ -295,9 +296,8 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
 
     Adding m2 to m1, the pair (a, b) has index a + |m1|*b, mixed-radix
     over m1's factors followed by m2's. That sequence need not be a
-    divisibility chain, but ``addition_row`` and ``element_orders`` take
-    any factor sequence, so ``_recoordinatize`` reads the sum's rows, t
-    and orders from them.
+    divisibility chain, but ``_recoordinatize`` takes any factor
+    sequence.
 
     >>> direct_sum(linear_module(2, 1), linear_module(3, 2), linear_module(2, 1)).group
     AbelianGroup(invariant_factors=(2, 6))
@@ -313,9 +313,7 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
         facs = out.group.invariant_factors + m.group.invariant_factors
         t1, t2 = out.t_action.element_map, m.t_action.element_map
         t_map = [a + n1 * b for b in t2 for a in t1]
-        out, _ = _recoordinatize(
-            range(len(t_map)), partial(addition_row, facs), t_map, element_orders(facs)
-        )
+        out, _ = _recoordinatize(range(len(t_map)), facs, t_map)
     provenances = [m.provenance for m in pieces]
     if None in provenances:
         return out
@@ -346,12 +344,9 @@ def image_one_minus_t(module: LambdaModule) -> Submodule:
     memo = module._memo
     if "image" not in memo:
         u = module.one_minus_t_map
-        # a member's order in the submodule is its order in the whole group
         g = module.group
-        facs = g.invariant_factors
         abstract, from_abstract = _recoordinatize(
-            set(u), partial(addition_row, facs), module.t_action.element_map,
-            element_orders(facs),
+            set(u), g.invariant_factors, module.t_action.element_map
         )
         # 1 - t is additive, so the images of the group generators span
         # the image; for a t-cyclic module such as a linear or polynomial

@@ -10,6 +10,7 @@ table bijection.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import eq, itemgetter
@@ -300,49 +301,40 @@ def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
     return lambda_iso(sub_m.as_module, sub_n.as_module) is not None
 
 
-def _columns(module: LambdaModule):
-    """column(z) is x -> t(x) + z, the right translation by any s with
-    (1-t)(s) = z, read from addition row z at t(x) and built once per z
-    in a dict owned by the returned function."""
-    at_t = itemgetter(*module.t_action.element_map)
-    facs = module.group.invariant_factors
-    built: dict[int, tuple[int, ...]] = {}
-
-    def column(z: int) -> tuple[int, ...]:
-        if z not in built:
-            built[z] = at_t(addition_row(facs, z))
-        return built[z]
-
-    return column
+def _column(module: LambdaModule, z: int) -> tuple[int, ...]:
+    """x -> t(x) + z, the right translation by any s with (1-t)(s) = z,
+    read from addition row z at t(x)."""
+    row = addition_row(module.group.invariant_factors, z)
+    return itemgetter(*module.t_action.element_map)(row)
 
 
-def _generators(module: LambdaModule, column) -> list[int]:
-    """A set S of elements generating the quandle of module, ascending.
+def _generators(module: LambdaModule) -> dict[int, tuple[int, ...]]:
+    """A set S of elements generating the quandle of module, each with its
+    column, in ascending order of s.
 
     Each s is the smallest element outside the subquandle generated by
     the earlier ones, which is grown by closure under the distinct columns
     of S. That closure is the subquandle: a finite set closed under a
     permutation is closed under its inverse, and R_(a^b) = R_b R_a R_b^-1
     puts the translation by each element reached in the group generated
-    by those of S.
+    by those of S. One column is built per distinct (1-t)(s).
     """
     u = module.one_minus_t_map
     inside = bytearray(module.order)
     members: list[int] = []
-    keys: set[int] = set()
-    cols: list[tuple[int, ...]] = []
-    gens = []
+    built: dict[int, tuple[int, ...]] = {}
+    cols = built.values()  # every column built so far, growing with built
+    gens = {}
     for s in range(module.order):
         if inside[s]:
             continue
-        gens.append(s)
         z = u[s]
         pending = []
-        if z not in keys:
+        if z not in built:
             # earlier members are closed under the earlier columns already
-            keys.add(z)
-            cols.append(column(z))
-            pending = [(x, cols[-1:]) for x in members]
+            built[z] = _column(module, z)
+            pending = [(x, (built[z],)) for x in members]
+        gens[s] = built[z]
         inside[s] = 1
         members.append(s)
         pending.append((s, cols))
@@ -368,18 +360,18 @@ def _carries_quandle(m: LambdaModule, n: LambdaModule, f) -> bool:
     A subquandle holding S is all of Q(m), so f is a bijective
     homomorphism, that is, an isomorphism. The columns of s and f(s)
     depend only on (1-t)(s) and (1-t)(f(s)), so each such pair is checked
-    once.
+    once, and each column of n is built once.
     """
     size = m.order
     if n.order != size or len(f) != size or sorted(f) != list(range(size)):
         return False
     if size == 1:
         return True
-    col_m, col_n = _columns(m), _columns(n)
-    relabel = itemgetter(*f)
     um, un = m.one_minus_t_map, n.one_minus_t_map
-    pairs = {(um[s], un[f[s]]) for s in _generators(m, col_m)}
-    return all(itemgetter(*col_m(a))(f) == relabel(col_n(b)) for a, b in pairs)
+    pairs = {(um[s], un[f[s]]): col for s, col in _generators(m).items()}
+    relabel = itemgetter(*f)
+    cols_n = {b: relabel(_column(n, b)) for _, b in pairs}
+    return all(itemgetter(*col)(f) == cols_n[b] for (_, b), col in pairs.items())
 
 
 def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness:
@@ -460,10 +452,22 @@ def table_to_text(table: QuandleTable) -> str:
     return "\n".join(" ".join(str(v) for v in row) for row in table.rows)
 
 
+def _decimal(token: str) -> int:
+    """The integer that token spells in ASCII decimal, -?[0-9]+.
+
+    int() also takes underscores, a + sign, surrounding whitespace and
+    non-ASCII digits, none of which a table or spec prints; those raise
+    ValueError here.
+    """
+    if re.fullmatch("-?[0-9]+", token) is None:
+        raise ValueError(f"expected an integer, got {token!r}")
+    return int(token)
+
+
 def table_from_text(text: str) -> QuandleTable:
     rows = []
     for line in text.splitlines():
         line = line.strip()
         if line:
-            rows.append(tuple(int(v) for v in line.split()))
+            rows.append(tuple(map(_decimal, line.split())))
     return QuandleTable(tuple(rows))

@@ -74,7 +74,10 @@ def test_axioms_pass_and_fail(capsys, tmp_path):
 
 def test_malformed_specs_exit_2(capsys):
     for spec in [
-        "linear:8", "linear:8:x", "foo:3", "sum:linear:4:1", "pair:direct", "pair:3,9:x"
+        "linear:8", "linear:8:x", "foo:3", "sum:linear:4:1", "pair:direct", "pair:3,9:x",
+        # spec integers are ASCII decimal, -?[0-9]+, as descriptor_str prints them
+        "linear:1_0:3", "linear: 8:3", "linear:8:3 ", "linear:+8:3", "linear:8:\u0663",
+        "poly:2:1,,1", "poly:2:1,+1,1", "pair:3,9:2,0;1, 2", "linear:--8:3",
     ]:
         code, _, err = run(capsys, ["axioms", spec])
         assert code == 2, spec
@@ -97,6 +100,13 @@ def test_invalid_values_exit_3(capsys, tmp_path):
     assert code == 3
     code, _, err = run(capsys, ["build", "table:@/no/such/file"])
     assert code == 3
+    # text entries are ASCII decimal too; int() would read these as 0 0 / 1 1
+    for entries in ("+0 0\n1 1\n", "0 0\n1 0_1\n", "0 0\n\u0661 1\n"):
+        signed = tmp_path / "signed.txt"
+        signed.write_text(entries, encoding="utf-8")
+        code, out, err = run(capsys, ["axioms", f"table:@{signed}"])
+        assert (code, out) == (3, ""), entries
+        assert err.startswith("invalid input: expected an integer"), entries
     # non-integer entries once truncated to [[0, 0], [1, 1]], which passes
     fractional = tmp_path / "fractional.json"
     fractional.write_text(json.dumps({"order": 2, "table": [[0, 0.9], [1.7, 1]]}))
@@ -214,6 +224,16 @@ def test_parse_spec_positions():
     with pytest.raises(SpecParseError) as exc:
         parse_spec("sum:linear:2:1+pair:3,9:2,0;1,y")
     assert exc.value.position == 30
+    for spec, position in [
+        ("linear:1_0:3", 7),
+        ("linear:8:\u0663", 9),
+        ("poly:2:1,+1,1", 9),
+        ("poly:2:1,,1", 9),
+        ("pair:3,9:2,0;1, 2", 15),
+    ]:
+        with pytest.raises(SpecParseError) as exc:
+            parse_spec(spec)
+        assert exc.value.position == position, spec
 
 
 def test_classify_representatives_parse_back():
@@ -280,8 +300,8 @@ def test_internal_failure_exits_4_not_1(capsys, monkeypatch):
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
-def test_dual_and_self_check(capsys, monkeypatch):
-    code, out, _ = run(capsys, ["dual", "linear:5:2", "--format", "text", "--self-check"])
+def test_dual_output_and_involution_check(capsys, monkeypatch):
+    code, out, _ = run(capsys, ["dual", "linear:5:2", "--format", "text"])
     assert code == 0
     dual_rows = tuple(
         tuple(int(v) for v in line.split()) for line in out.splitlines()
@@ -290,7 +310,7 @@ def test_dual_and_self_check(capsys, monkeypatch):
     assert QuandleTable(dual_rows) == alexander_table(linear_module(5, 3))
 
     monkeypatch.setattr(cli, "dual", lambda t: alexander_table(linear_module(5, 2)))
-    code, _, err = run(capsys, ["dual", "linear:5:3", "--self-check"])
+    code, _, err = run(capsys, ["dual", "linear:5:3"])
     assert code == 4
     assert "involution" in err
 

@@ -21,7 +21,9 @@ from alexquandle.abelian import (
     AbelianGroup,
     GroupAutomorphism,
     abelian_groups_of_order,
+    addition_row,
     automorphism_classes,
+    element_orders,
     enumerate_automorphisms,
     factorize,
 )
@@ -338,15 +340,16 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
     product at most 72 and triples of product at most 64; the triples reach
     targets with three factor sizes, such as (2, 4, 8).
 
-    The rows, t and orders handed in are checked against the sum built
-    from the two pieces' own mixed-radix add and t maps, so the oracle
-    shares no code with addition_row or element_orders."""
+    The factors handed in are the two pieces' factors, and the rows and
+    orders read from them, with the t handed in, are checked against the
+    sum built from the two pieces' own mixed-radix add and t maps, so the
+    oracle shares no code with addition_row or element_orders."""
     calls = []
     recoordinatize = lambda_module._recoordinatize
 
-    def recording(members, translate, t_map, orders):
-        out = recoordinatize(members, translate, t_map, orders)
-        calls.append((members, translate, t_map, orders, out))
+    def recording(members, factors, t_map):
+        out = recoordinatize(members, factors, t_map)
+        calls.append((members, factors, t_map, out))
         return out
 
     monkeypatch.setattr(lambda_module, "_recoordinatize", recording)
@@ -364,7 +367,7 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
         assert len(calls) == len(pieces) - 1
         assert calls[-1][-1][0] == s
         left = pieces[0]
-        for right, (members, translate, t_map, orders, out) in zip(pieces[1:], calls):
+        for right, (members, factors, t_map, out) in zip(pieces[1:], calls):
             abstract, from_abstract = out
             n1 = left.order
             add1, add2 = left.group.add, right.group.add
@@ -375,8 +378,10 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
 
             t = [t1[x % n1] + n1 * t2[x // n1] for x in range(n1 * right.order)]
 
+            assert factors == left.group.invariant_factors + right.group.invariant_factors
             assert list(members) == list(range(n1 * right.order))
-            for x in members:  # the orders handed in are the additive orders
+            orders = element_orders(factors)
+            for x in members:  # the orders read from the factors are the additive orders
                 k, y = 1, x
                 while y != 0:
                     y = add(y, x)
@@ -384,7 +389,7 @@ def test_recoordinatized_direct_sums_are_module_isomorphisms(monkeypatch):
                 assert orders[x] == k
                 assert t_map[x] == t[x]
             for y in members:
-                row = translate(y)
+                row = addition_row(factors, y)
                 assert all(row[x] == add(x, y) for x in members)
             assert_module_isomorphism(members, add, t, abstract, from_abstract)
             assert_t_action_validates(abstract)

@@ -439,7 +439,11 @@ def test_generator_check_agrees_with_full_tables():
 
 
 def test_agreement_test_catches_a_check_on_zero_alone(monkeypatch):
-    monkeypatch.setattr(quandle, "_generators", lambda module, column: [0])
+    monkeypatch.setattr(
+        quandle,
+        "_generators",
+        lambda module: {0: quandle._column(module, module.one_minus_t_map[0])},
+    )
     with pytest.raises(AssertionError):
         generator_check_agreement()
 
@@ -461,14 +465,47 @@ def test_generators_are_greedy_and_generate_the_quandle():
     for order in range(2, 25):
         for _, m in named_candidates(order):
             tab = alexander_table(m)
-            gens = quandle._generators(m, quandle._columns(m))
+            columns = quandle._generators(m)
+            gens = list(columns)
             for i, s in enumerate(gens):
                 # s is the smallest element outside what the earlier ones generate
                 outside = set(range(order)) - closure_oracle(tab, gens[:i])
                 assert s == min(outside)
+                # and comes with its column, the right translation by s
+                column = columns[s]
+                assert column == quandle._column(m, m.one_minus_t_map[s])
+                assert column == tuple(row[s] for row in tab.rows)
             assert closure_oracle(tab, gens) == set(range(order))
             checked += 1
     assert checked == 376
+
+
+def test_generator_check_builds_each_column_once(monkeypatch):
+    """Checking a witness builds one column of m per distinct (1-t)-value
+    among the generators, and one of n per distinct partner value."""
+    built = []
+    addition_row = quandle.addition_row
+
+    def counting(factors, z):
+        built.append(z)
+        return addition_row(factors, z)
+
+    monkeypatch.setattr(quandle, "addition_row", counting)
+    pairs = 0
+    for order in range(2, 25):
+        mods = [m for _, m in named_candidates(order)]
+        for m, n in itertools.combinations_with_replacement(mods, 2):
+            if not theorem1_iso(m, n):
+                continue
+            f = construct_quandle_iso(m, n).map
+            gens = quandle._generators(m)
+            own = {m.one_minus_t_map[s] for s in gens}
+            partners = {n.one_minus_t_map[f[s]] for s in gens}
+            built.clear()
+            assert quandle._carries_quandle(m, n, f)
+            assert len(built) == len(own) + len(partners), (m, n)
+            pairs += 1
+    assert pairs == 660
 
 
 def test_generator_check_rejects_non_bijections_and_handles_order_one():
