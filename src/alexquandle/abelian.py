@@ -60,7 +60,7 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
 def _merge_primary(prime_exponents: dict[int, list[int]]) -> tuple[int, ...]:
     # each value is a descending exponent partition; align largest with
     # largest so the result is a divisibility chain
-    width = max(len(parts) for parts in prime_exponents.values())
+    width = max((len(parts) for parts in prime_exponents.values()), default=0)
     desc = []
     for j in range(width):
         d = 1
@@ -92,8 +92,6 @@ def invariant_factors_from_element_orders(orders) -> tuple[int, ...]:
     n = sum(counts.values())
     if n == 0:
         raise ValueError("empty order multiset")
-    if n == 1:
-        return ()
     prime_exponents: dict[int, list[int]] = {}
     for p in factorize(n):
         s_prev = 0
@@ -392,8 +390,6 @@ def abelian_groups_of_order(n: int) -> list[AbelianGroup]:
     """
     if n < 1:
         raise ValueError(f"no groups of order {n}")
-    if n == 1:
-        return [AbelianGroup(())]
     primes = sorted(factorize(n).items())
     choices = [_partitions(e) for _, e in primes]
     groups = []

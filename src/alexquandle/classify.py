@@ -7,10 +7,11 @@ classes of order n are the tuples of classes of the prime-power parts of
 n: class sizes multiply, and a tuple is connected when every part is.
 
 Each prime-power part is classified by placing each structure's Im(1-t)
-in a class index. An image that is cyclic or elementary abelian has a
-complete isomorphism key (the multiplier of t, or the rational canonical
-form of t), so it finds its class with one dict lookup. Any other image
-is bucketed by cheap invariants and its bucket is resolved with exact
+in a class index, bucketed by its ``module_certificate``. An image that
+is cyclic or elementary abelian has a complete key for a certificate (the
+multiplier of t, or the rational canonical form of t), so it finds its
+class with one dict lookup. Any other image's certificate is a set of
+cheap invariants, and its bucket is resolved with exact
 module-isomorphism tests (``lambda_iso``). Conjugate automorphisms
 always give isomorphic quandles, so the classifier takes one
 representative per conjugacy class from ``automorphism_classes``;
@@ -44,7 +45,6 @@ from .lambda_module import (
     descriptor_str,
     identify_as_quotient,
     image_one_minus_t,
-    isomorphism_key,
     lambda_iso,
     module_certificate,
     module_from_descriptor,
@@ -118,26 +118,24 @@ def enumerate_structures(n: int) -> list[LambdaModule]:
 def _classify_prime_power(q: int):
     """The Im(1-t) classes of order q, a prime power, and the class of each
     named candidate of order q."""
-    # the class index: pairwise non-isomorphic Im(1-t) modules. An image
-    # with a complete isomorphism key has a bucket of its own, holding its
-    # one class; any other image's bucket is its certificate's, searched
-    # with lambda_iso. The named candidates are placed after the
-    # structures: each candidate is isomorphic to some structure, so it
-    # never opens a class, and since every named descriptor ranks before
-    # every pair descriptor, each class ends up named by its smallest
-    # isomorphic candidate, or by its smallest member when no candidate
-    # matches.
+    # the class index: pairwise non-isomorphic Im(1-t) modules, bucketed
+    # by certificate and searched with lambda_iso. The named candidates
+    # are placed after the structures: each candidate is isomorphic to
+    # some structure, so it never opens a class, and since every named
+    # descriptor ranks before every pair descriptor, each class ends up
+    # named by its smallest isomorphic candidate, or by its smallest
+    # member when no candidate matches.
     buckets: dict[tuple, list[_Class]] = {}
 
     def place(module: LambdaModule) -> _Class:
         image = image_one_minus_t(module).as_module
-        key = isomorphism_key(image)
-        if key is None:
-            bucket = buckets.setdefault(("certificate", module_certificate(image)), [])
-            cls = next((c for c in bucket if lambda_iso(c.image, image) is not None), None)
-        else:
-            bucket = buckets.setdefault(("key", key), [])
-            cls = bucket[0] if bucket else None
+        cert = module_certificate(image)
+        bucket = buckets.setdefault(cert, [])
+        # a complete key's bucket holds one class, which needs no search
+        cls = next(
+            (c for c in bucket if cert[0] == "key" or lambda_iso(c.image, image) is not None),
+            None,
+        )
         if cls is None:
             # the quandle is connected exactly when Im(1-t) is the whole module
             cls = _Class(image, module.provenance, image.order == q)

@@ -75,6 +75,14 @@ def _parse_int(token: str, position: int) -> int:
         raise SpecParseError(str(exc), position) from None
 
 
+def _integer(token: str) -> int:
+    """An argparse type: the integer token spells, read as spec integers are."""
+    try:
+        return _decimal(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _fields(text: str, position: int, sep: str):
     """Yield each sep-separated field of text, which starts at position,
     with the position of the field."""
@@ -323,7 +331,7 @@ def _cmd_linear(args) -> int:
 def _check_guard(n: int) -> None:
     raw = os.environ.get("QUANDLE_MAX_ORDER", "")
     try:
-        guard = int(raw) if raw else DEFAULT_MAX_ORDER
+        guard = _decimal(raw) if raw else DEFAULT_MAX_ORDER
     except ValueError:
         raise ValueError(f"QUANDLE_MAX_ORDER must be an integer, got {raw!r}") from None
     if n > guard:
@@ -459,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("im1t", help="the Im(1-t) submodule of a module spec")
     p.add_argument("spec")
-    p.add_argument("--power", type=int, choices=[1, 2], default=1)
+    p.add_argument("--power", type=_integer, choices=[1, 2], default=1)
     p.add_argument("--identify", action="store_true")
     add_format(p)
     p.set_defaults(func=_cmd_im1t)
@@ -474,14 +482,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("ncap", 2),
     ):
         lp = lsub.add_parser(name)
-        lp.add_argument("n", type=int)
-        lp.add_argument("a", type=int)
+        lp.add_argument("n", type=_integer)
+        lp.add_argument("a", type=_integer)
         if nargs == 3:
-            lp.add_argument("b", type=int)
+            lp.add_argument("b", type=_integer)
         lp.set_defaults(func=_cmd_linear)
 
     p = sub.add_parser("classify", help="classify all quandles of one order")
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=_integer)
     p.add_argument("--connected-only", action="store_true")
     add_format(p, csv=True)
     p.set_defaults(func=_cmd_classify)
@@ -491,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="distinct/connected counts per order")
-    p.add_argument("--max", type=int, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--max", type=_integer, default=DEFAULT_MAX_ORDER)
     add_format(p, csv=True)
     p.set_defaults(func=_cmd_table2)
 

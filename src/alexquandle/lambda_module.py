@@ -190,10 +190,10 @@ class LambdaModule:
 
     @cached_property
     def _memo(self) -> dict:
-        """Im(1-t), the certificate, the isomorphism key, element orders
-        and t-orbit lengths, and on an Im(1-t) module the pool its t-module
-        generators are drawn from, kept as long as the module (the 1 - t
-        map is memoised beside it, as ``one_minus_t_map``)."""
+        """Im(1-t), the certificate (keyed or not, one slot), element
+        orders and t-orbit lengths, and on an Im(1-t) module the pool its
+        t-module generators are drawn from, kept as long as the module (the
+        1 - t map is memoised beside it, as ``one_minus_t_map``)."""
         return {}
 
 
@@ -385,26 +385,6 @@ def _element_profile(module: LambdaModule) -> tuple[list[int], list[int]]:
     return memo["profile"]
 
 
-def module_certificate(module: LambdaModule) -> tuple:
-    """Cheap isomorphism invariants used to prescreen lambda_iso.
-
-    Equal certificates are necessary (not sufficient) for isomorphism, so
-    modules with equal certificates still need a ``lambda_iso`` search.
-    Classification buckets by it only the modules that have no
-    ``isomorphism_key``.
-    """
-    if "certificate" not in module._memo:
-        u = module.one_minus_t_map
-        im1 = set(u)
-        im2 = set(map(u.__getitem__, im1))
-        orders, orbits = _element_profile(module)
-        im1_factors = invariant_factors_from_element_orders([orders[x] for x in im1])
-        factors = module.group.invariant_factors
-        cert = (factors, im1_factors, len(im2), tuple(sorted(orbits)))
-        module._memo["certificate"] = cert
-    return module._memo["certificate"]
-
-
 def _mat_mul(a, b, p: int) -> list[list[int]]:
     """The product of two square matrices over F_p."""
     cols = list(zip(*b))
@@ -471,45 +451,58 @@ def _rational_canonical_key(module: LambdaModule, p: int) -> tuple:
     return tuple(out)
 
 
-def isomorphism_key(module: LambdaModule):
-    """A complete isomorphism key, or None where none is known.
+def module_certificate(module: LambdaModule) -> tuple:
+    """The module's isomorphism invariant, tagged by whether it is complete.
 
-    Two modules with keys are isomorphic exactly when their keys are
-    equal. A cyclic Z_m (or the trivial module) is keyed by its factors
-    and the image of its generator under t, the unit t multiplies by. An
-    elementary abelian Z_p^k is an F_p[t]-module, keyed by its factors
-    and the ranks that fix its rational canonical form (see
-    ``_rational_canonical_key``). Every other group has no key.
+    Isomorphic modules always have equal certificates. A ``"key"``
+    certificate is also sufficient: two modules with one are isomorphic
+    exactly when the certificates are equal. A cyclic Z_m (or the trivial
+    module) is keyed by its factors and the image of its generator under
+    t, the unit t multiplies by. An elementary abelian Z_p^k is an
+    F_p[t]-module, keyed by its factors and the ranks that fix its
+    rational canonical form (see ``_rational_canonical_key``). Every other
+    group gets ``"invariants"``: its factors, the factors of Im(1-t),
+    |Im(1-t)^2| and the sorted t-orbit lengths, which non-isomorphic
+    modules may share. The two kinds never share factors, so a keyed
+    module never matches an unkeyed one.
 
     On Z_3[t]/(t^2 + t + 1) = Z_3[t]/((t + 2)^2), f = t + 2 has ranks 1, 0:
     one Jordan block of size 2.
 
-    >>> isomorphism_key(linear_module(9, 4))
-    ((9,), (4,))
-    >>> isomorphism_key(module_from_polynomial(Polynomial(3, (1, 1, 1))))
-    ((3, 3), (((2, 1), (1, 0)),))
-    >>> isomorphism_key(direct_sum(linear_module(2, 1), linear_module(4, 1))) is None
-    True
+    >>> module_certificate(linear_module(9, 4))
+    ('key', (9,), (4,))
+    >>> module_certificate(module_from_polynomial(Polynomial(3, (1, 1, 1))))
+    ('key', (3, 3), (((2, 1), (1, 0)),))
+    >>> module_certificate(direct_sum(linear_module(2, 1), linear_module(4, 1)))[0]
+    'invariants'
     """
     memo = module._memo
-    if "key" not in memo:
+    if "certificate" not in memo:
         facs = module.group.invariant_factors
         if len(facs) <= 1:
-            memo["key"] = (facs, module.t_action.generator_images)
+            memo["certificate"] = ("key", facs, module.t_action.generator_images)
         elif facs[0] == facs[-1] and is_prime(facs[0]):
-            memo["key"] = (facs, _rational_canonical_key(module, facs[0]))
+            memo["certificate"] = ("key", facs, _rational_canonical_key(module, facs[0]))
         else:
-            memo["key"] = None
-    return memo["key"]
+            u = module.one_minus_t_map
+            im1 = set(u)
+            im2 = set(map(u.__getitem__, im1))
+            orders, orbits = _element_profile(module)
+            im1_factors = invariant_factors_from_element_orders([orders[x] for x in im1])
+            memo["certificate"] = (
+                "invariants", facs, im1_factors, len(im2), tuple(sorted(orbits))
+            )
+    return memo["certificate"]
 
 
 def lambda_iso(m: LambdaModule, n: LambdaModule):
     """An additive, t-commuting bijection m -> n as an index tuple, or None.
 
-    Equal modules get the identity. Where both modules have an
-    ``isomorphism_key``, unequal keys answer None at once; equal keys on
-    a cyclic (or trivial) group mean the modules are equal. Everything
-    else is decided by a search over t-module generators
+    Modules of different orders answer None, and equal modules get the
+    identity. Unequal ``module_certificate``s answer None at once; this
+    settles every keyed pair that is not isomorphic, and equal keys on a
+    cyclic (or trivial) group mean the modules are equal. Every other pair
+    is decided by a search over t-module generators
     (``_t_generator_search``), so the map returned between distinct
     modules is whichever that search meets first, not the first in any
     fixed order of all maps.
@@ -518,14 +511,14 @@ def lambda_iso(m: LambdaModule, n: LambdaModule):
         return None
     if m == n:
         return tuple(range(m.order))
-    km, kn = isomorphism_key(m), isomorphism_key(n)
-    if km is not None and kn is not None and km != kn:
+    if module_certificate(m) != module_certificate(n):
         return None
     return _t_generator_search(m, n)
 
 
 def _t_generator_search(m: LambdaModule, n: LambdaModule):
-    """A t-commuting additive bijection m -> n, found without isomorphism keys.
+    """A t-commuting additive bijection m -> n of two modules of one order,
+    or None; it reads no certificate, so it searches whatever pair it gets.
 
     A map is fixed by its images of a few elements that generate m under t
     and addition. They come from a pool: every nonzero element, or for an
@@ -548,8 +541,6 @@ def _t_generator_search(m: LambdaModule, n: LambdaModule):
     H is all of m the map is defined everywhere; it commutes with t
     because phi(t^k x) is t^k y for every generator x.
     """
-    if module_certificate(m) != module_certificate(n):
-        return None
     size = m.order
     addm, addn = m.group.add, n.group.add
     tm, tn = m.t_action.element_map, n.t_action.element_map

@@ -289,8 +289,8 @@ def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
 
     Equal-order modules give isomorphic quandles exactly when their
     Im(1-t) submodules are isomorphic as t-modules. ``lambda_iso``
-    decides that: complete isomorphism keys first, where both submodules
-    have one, then a search over t-module generators. The submodule map
+    decides that: the submodules' certificates first, which settle every
+    keyed pair, then a search over t-module generators. The submodule map
     it finds, which ``construct_quandle_iso`` builds its witness from,
     need not be the first in any fixed order of all such maps.
     """

@@ -147,10 +147,30 @@ def test_table_where_a_module_is_needed(capsys, tmp_path):
     assert err == "invalid input: im1t needs a module spec, not a table\n"
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # integer arguments are ASCII decimal, -?[0-9]+, as spec integers are;
+    # int() would read each of these
+    for argv, name, token in [
+        (["classify", "1_2"], "order", "1_2"),
+        (["table2", "--max", "1_2"], "--max", "1_2"),
+        (["linear", "ncap", "\u0669", "\u0664"], "n", "\u0669"),
+        (["im1t", "linear:8:3", "--power", "0_2"], "--power", "0_2"),
+        (["linear", "iso", "+9", "4", "7"], "n", "+9"),
+        (["linear", "dual", "5", "2", " 3"], "b", " 3"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"argument {name}: expected an integer, got {token!r}" in captured.err, argv
+    # a negative order is an integer, refused as a value
+    assert run(capsys, ["classify", "--", "-3"]) == (
+        3, "", "invalid input: no quandles of order -3\n"
+    )
 
 
 def test_repeated_calls_share_no_parser_state(capsys):
@@ -454,10 +474,11 @@ def test_order_guard_env(capsys, monkeypatch):
         code, out, _ = run(capsys, ["classify", "18"])
     assert code == 0
     assert out.splitlines()[0] == "order 18: 11 distinct, 0 connected"
-    monkeypatch.setenv("QUANDLE_MAX_ORDER", "zap")
-    code, _, err = run(capsys, ["classify", "6"])
-    assert code == 3
-    assert "must be an integer" in err
+    for raw in ("zap", " 1_6", "+16"):
+        monkeypatch.setenv("QUANDLE_MAX_ORDER", raw)
+        code, out, err = run(capsys, ["table2", "--max", "16"])
+        assert (code, out) == (3, ""), raw
+        assert err == f"invalid input: QUANDLE_MAX_ORDER must be an integer, got {raw!r}\n"
 
 
 def test_admitted_large_order_prints_no_warning(capsys, monkeypatch):

@@ -3,9 +3,9 @@
 lambda_iso's verdicts are checked against a brute-force oracle that scans
 every additive bijection of the underlying group for one commuting with
 both t-actions, and every map it returns is checked to be such a
-bijection. isomorphism_key is checked against the key-free search over
-t-module generators that lambda_iso falls back on: equal keys exactly
-when a t-commuting isomorphism exists.
+bijection. The keyed certificates are checked against the search over
+t-module generators that lambda_iso falls back on, which reads no
+certificate: equal keys exactly when a t-commuting isomorphism exists.
 """
 
 import gc
@@ -36,7 +36,6 @@ from alexquandle.lambda_module import (
     direct_sum,
     identify_as_quotient,
     image_one_minus_t,
-    isomorphism_key,
     lambda_iso,
     linear_module,
     module_certificate,
@@ -497,6 +496,12 @@ def test_lambda_iso_settles_keyed_pairs_without_search(monkeypatch):
     swap = module_from_pair(GroupAutomorphism(z3_2, (3, 1)))
     assert lambda_iso(one, swap) is None
     assert lambda_iso(swap, swap) == tuple(range(9))
+    # unkeyed modules with unequal certificates are settled by the same screen
+    z2 = linear_module(2, 1)
+    m, n = direct_sum(z2, linear_module(4, 1)), direct_sum(z2, linear_module(4, 3))
+    cm, cn = module_certificate(m), module_certificate(n)
+    assert cm[0] == cn[0] == "invariants" and cm != cn
+    assert lambda_iso(m, n) is None
 
 
 def class_structures(order: int) -> list[LambdaModule]:
@@ -521,11 +526,18 @@ def structures_and_images(max_order: int) -> dict[int, list[LambdaModule]]:
     return by_order
 
 
+def complete_key(m):
+    """The module's complete key, read from a keyed certificate, or None."""
+    cert = module_certificate(m)
+    return cert[1:] if cert[0] == "key" else None
+
+
 def assert_key_decides(m, n) -> bool:
-    """Equal keys exactly when the key-free search finds a map, and a keyed
-    module is never isomorphic to an unkeyed one; false when neither has a
-    key. lambda_iso itself reads the keys, so it cannot be the oracle."""
-    km, kn = isomorphism_key(m), isomorphism_key(n)
+    """Equal keys exactly when the certificate-free search finds a map, and
+    a keyed module is never isomorphic to an unkeyed one; false when neither
+    has a key. lambda_iso itself reads the certificates, so it cannot be the
+    oracle."""
+    km, kn = complete_key(m), complete_key(n)
     if km is None and kn is None:
         return False
     found = lambda_module._t_generator_search(m, n) is not None
@@ -556,7 +568,7 @@ def test_t_generator_search_up_to_32():
             if got is not None:
                 found += 1
                 assert_valid_witness(m, n, got)
-            if isomorphism_key(m) is None and module_certificate(m) == module_certificate(n):
+            if complete_key(m) is None and module_certificate(m) == module_certificate(n):
                 assert (got is None) == (brute_lambda_iso(m, n) is None), (m, n)
     assert (pairs, found) == (17_080, 2_755)
 
@@ -579,20 +591,24 @@ def random_conjugate(m: LambdaModule, rng: random.Random) -> LambdaModule:
 @pytest.mark.parametrize("order, pairs", [(49, 60), (121, 20)])
 def test_isomorphism_key_decides_random_pairs(order, pairs):
     # half the pairs are a structure against a conjugate of itself, half
-    # against a conjugate of a structure with the same certificate
+    # against a conjugate of a look-alike: a structure on the same group
+    # with the same t-orbit lengths (every image here is keyed, so an equal
+    # certificate would already mean isomorphic)
+    def look(s):
+        return s.group, tuple(sorted(lambda_module._element_profile(s)[1]))
+
     rng = random.Random(order)
     structures = class_structures(order)
     isomorphic = 0
     for i in range(pairs):
         m = rng.choice(structures)
         if i % 2:
-            cert = module_certificate(m)
-            m2 = rng.choice([s for s in structures if module_certificate(s) == cert])
+            m2 = rng.choice([s for s in structures if look(s) == look(m)])
         else:
             m2 = m
         n = random_conjugate(m2, rng)
         assert_key_decides(m, n)
-        isomorphic += isomorphism_key(m) == isomorphism_key(n)
+        isomorphic += complete_key(m) == complete_key(n)
     assert pairs // 2 <= isomorphic < pairs
 
 
