@@ -50,7 +50,6 @@ from .quandle import (
     check_axioms,
     construct_quandle_iso,
     dual,
-    is_connected,
     is_quandle_iso,
     orbits,
     theorem1_iso,
@@ -97,7 +96,6 @@ __all__ = [
     "check_axioms",
     "construct_quandle_iso",
     "dual",
-    "is_connected",
     "is_quandle_iso",
     "orbits",
     "theorem1_iso",

@@ -42,8 +42,6 @@ def is_prime(n: int) -> bool:
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
     """Integer partitions of n, parts descending, largest-first order."""
-    if n == 0:
-        return [()]
     out = []
 
     def rec(rest: int, cap: int, acc: tuple[int, ...]):

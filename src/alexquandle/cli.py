@@ -30,15 +30,11 @@ import sys
 from .classify import classify_order, count_table, table1_report
 from .lambda_module import (
     LambdaModule,
-    Polynomial,
+    descriptor_from_json_dict,
     descriptor_str,
-    direct_sum,
     identify_as_quotient,
     image_one_minus_t,
-    linear_module,
     module_from_descriptor,
-    module_from_json_dict,
-    module_from_polynomial,
 )
 from .linear import linear_connected, linear_dual, linear_iso, linear_self_dual, n_cap
 from .quandle import (
@@ -104,78 +100,78 @@ def _read_file(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}") from None
 
 
-def parse_spec(text: str, base: int = 0):
-    """Parse a spec string into a LambdaModule or QuandleTable.
+def _load_json(raw: str, path: str):
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON in {path}: {exc}") from None
 
-    SpecParseError (syntax, with offending position) is distinct from
-    ValueError (well-formed but invalid values, e.g. gcd(n, a) != 1).
-    """
+
+def _read_spec(text: str, base: int) -> tuple:
+    """The descriptor a module spec names, read without building it; text
+    starts at offset base of the whole spec, which error positions count from."""
     if text == "0":
-        return direct_sum()
+        return ("sum", ())
     if text.startswith("linear:"):
-        body = text[7:]
-        parts = body.split(":")
+        parts = text[7:].split(":")
         if len(parts) != 2:
             raise SpecParseError("linear spec needs exactly linear:n:a", base + 7)
         n = _parse_int(parts[0], base + 7)
-        a = _parse_int(parts[1], base + 8 + len(parts[0]))
-        return linear_module(n, a)
+        return ("linear", n, _parse_int(parts[1], base + 8 + len(parts[0])))
     if text.startswith("poly:"):
-        body = text[5:]
-        parts = body.split(":")
+        parts = text[5:].split(":")
         if len(parts) != 2:
             raise SpecParseError("poly spec needs exactly poly:n:c0,c1,...", base + 5)
         n = _parse_int(parts[0], base + 5)
-        coeffs = _parse_ints(parts[1], base + 6 + len(parts[0]))
-        return module_from_polynomial(Polynomial(n, coeffs))
+        return ("poly", n, _parse_ints(parts[1], base + 6 + len(parts[0])))
     if text.startswith("sum:"):
-        modules = []
+        pieces = []
         for comp, offset in _fields(text[4:], base + 4, "+"):
             if comp.startswith("sum:"):
                 raise SpecParseError("sum components cannot be sums", offset)
             if not comp:
                 raise SpecParseError("empty sum component", offset)
-            part = parse_spec(comp, offset)
-            if not isinstance(part, LambdaModule):
+            if comp.startswith("table:"):
                 raise SpecParseError("sum components must be modules", offset)
-            modules.append(part)
-        if len(modules) < 2:
+            pieces.append(_read_spec(comp, offset))
+        if len(pieces) < 2:
             raise SpecParseError("sum needs at least two components", base + 4)
-        return direct_sum(*modules)
+        return ("sum", tuple(pieces))
     if text.startswith("pair:"):
         body = text[5:]
-        if not body.startswith("@"):
-            parts = body.split(":")
-            if len(parts) != 2:
-                raise SpecParseError(
-                    "pair spec needs pair:d1,...,dk:image;...;image or pair:@file.json",
-                    base + 5,
-                )
-            factors = _parse_ints(parts[0], base + 5)
-            images = tuple(
-                _parse_ints(image, at)
-                for image, at in _fields(parts[1], base + 6 + len(parts[0]), ";")
+        if body.startswith("@"):
+            return descriptor_from_json_dict(_load_json(_read_file(body[1:]), body[1:]))
+        parts = body.split(":")
+        if len(parts) != 2:
+            raise SpecParseError(
+                "pair spec needs pair:d1,...,dk:image;...;image or pair:@file.json",
+                base + 5,
             )
-            return module_from_descriptor(("pair", factors, images))
-        try:
-            data = json.loads(_read_file(body[1:]))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad JSON in {body[1:]}: {exc}") from None
-        return module_from_json_dict(data)
-    if text.startswith("table:"):
-        body = text[6:]
-        if not body.startswith("@"):
-            raise SpecParseError("table spec takes a file: table:@file", base + 6)
-        raw = _read_file(body[1:])
-        if raw.lstrip().startswith("{"):
-            try:
-                return table_from_json_dict(json.loads(raw))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"bad JSON in {body[1:]}: {exc}") from None
-        return table_from_text(raw)
+        factors = _parse_ints(parts[0], base + 5)
+        images = _fields(parts[1], base + 6 + len(parts[0]), ";")
+        return ("pair", factors, tuple(_parse_ints(*field) for field in images))
     raise SpecParseError(
         "spec must be 0 or start with linear:, poly:, sum:, pair:, or table:@", base
     )
+
+
+def parse_spec(text: str):
+    """Parse a spec string into a LambdaModule or QuandleTable.
+
+    A module spec is read whole into its descriptor, and only then built
+    by ``module_from_descriptor``. SpecParseError (syntax, with offending
+    position) is distinct from ValueError (well-formed but invalid values,
+    e.g. gcd(n, a) != 1, or an unreadable file).
+    """
+    if not text.startswith("table:"):
+        return module_from_descriptor(_read_spec(text, 0))
+    body = text[6:]
+    if not body.startswith("@"):
+        raise SpecParseError("table spec takes a file: table:@file", 6)
+    raw = _read_file(body[1:])
+    if raw.lstrip().startswith("{"):
+        return table_from_json_dict(_load_json(raw, body[1:]))
+    return table_from_text(raw)
 
 
 def _as_table(thing) -> QuandleTable:
@@ -237,11 +233,11 @@ def _cmd_iso(args) -> int:
     modules = isinstance(left, LambdaModule) and isinstance(right, LambdaModule)
     if args.method in ("theorem1", "both") and not modules:
         raise ValueError("--method theorem1 and both need module specs, not tables")
-    witness = None
-    if args.method == "theorem1":
+    if args.method == "theorem1" and args.witness:
+        witness = construct_quandle_iso(left, right)
+        verdict = witness is not None
+    elif args.method == "theorem1":
         verdict = theorem1_iso(left, right)
-        if verdict and args.witness:
-            witness = construct_quandle_iso(left, right)
     elif args.method == "brute":
         witness = brute_iso(_as_table(left), _as_table(right))
         verdict = witness is not None

@@ -710,8 +710,9 @@ def module_from_descriptor(desc) -> LambdaModule:
     return module_from_pair(GroupAutomorphism(group, images))
 
 
-def module_from_json_dict(data) -> LambdaModule:
-    """Module from {"invariant_factors": [...], "t_generator_images": [[...], ...]}."""
+def descriptor_from_json_dict(data) -> tuple:
+    """("pair", factors, images) from module JSON,
+    {"invariant_factors": [...], "t_generator_images": [[...], ...]}."""
     try:
         factors = tuple(data["invariant_factors"])
         coords = tuple(map(tuple, data["t_generator_images"]))
@@ -719,4 +720,9 @@ def module_from_json_dict(data) -> LambdaModule:
         raise ValueError(f"bad module JSON: {exc}") from None
     if any(type(v) is not int for v in (*factors, *chain.from_iterable(coords))):
         raise ValueError("module JSON entries must be integers")
-    return module_from_descriptor(("pair", factors, coords))
+    return ("pair", factors, coords)
+
+
+def module_from_json_dict(data) -> LambdaModule:
+    """The module that ``descriptor_from_json_dict`` reads from data."""
+    return module_from_descriptor(descriptor_from_json_dict(data))

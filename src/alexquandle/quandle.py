@@ -137,10 +137,6 @@ def orbits(table: QuandleTable) -> list[list[int]]:
     return out
 
 
-def is_connected(table: QuandleTable) -> bool:
-    return len(orbits(table)) == 1
-
-
 def dual(table: QuandleTable) -> QuandleTable:
     """The dual table: x ^' y is the unique z with z ^ y = x."""
     rows = table.rows
@@ -284,6 +280,18 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
     return None
 
 
+def _image_iso(m: LambdaModule, n: LambdaModule) -> dict[int, int] | None:
+    """The map ``lambda_iso`` finds from the members of Im(1-t) in m onto
+    those in n, or None: unequal orders, or non-isomorphic submodules."""
+    if m.order != n.order:
+        return None
+    sub_m, sub_n = image_one_minus_t(m), image_one_minus_t(n)
+    h = lambda_iso(sub_m.as_module, sub_n.as_module)
+    if h is None:
+        return None
+    return dict(zip(sub_m.from_abstract, (sub_n.from_abstract[j] for j in h)))
+
+
 def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
     """Decide quandle isomorphism by comparing the Im(1-t) submodules.
 
@@ -294,11 +302,7 @@ def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
     it finds, which ``construct_quandle_iso`` builds its witness from,
     need not be the first in any fixed order of all such maps.
     """
-    if m.order != n.order:
-        return False
-    sub_m = image_one_minus_t(m)
-    sub_n = image_one_minus_t(n)
-    return lambda_iso(sub_m.as_module, sub_n.as_module) is not None
+    return _image_iso(m, n) is not None
 
 
 def _column(module: LambdaModule, z: int) -> tuple[int, ...]:
@@ -374,8 +378,8 @@ def _carries_quandle(m: LambdaModule, n: LambdaModule, f) -> bool:
     return all(itemgetter(*col)(f) == cols_n[b] for (_, b), col in pairs.items())
 
 
-def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness:
-    """Build an explicit table bijection from a submodule isomorphism.
+def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness | None:
+    """A table bijection built from a submodule isomorphism, or None for a "no".
 
     h is the map ``lambda_iso`` finds from image_one_minus_t(m).as_module
     to image_one_minus_t(n).as_module. Writing I = Im(1-t), the map f is
@@ -398,15 +402,9 @@ def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness:
     |M/I| |I^2| / |I| elements, which is exactly the block's size; no
     other alpha takes a coset of that block.
     """
-    if m.order != n.order:
-        raise ValueError("modules have different orders")
-    sub_m = image_one_minus_t(m)
-    sub_n = image_one_minus_t(n)
-    h = lambda_iso(sub_m.as_module, sub_n.as_module)
-    if h is None:
-        raise ValueError("Im(1-t) submodules are not isomorphic")
-    hmap = dict(zip(sub_m.from_abstract, (sub_n.from_abstract[j] for j in h)))
-
+    hmap = _image_iso(m, n)
+    if hmap is None:
+        return None
     um = m.one_minus_t_map
     preimages = [[] for _ in range(n.order)]
     for beta, z in enumerate(n.one_minus_t_map):

@@ -15,9 +15,10 @@ import warnings
 import pytest
 
 import alexquandle.cli as cli
+import alexquandle.quandle as quandle
 from alexquandle.classify import classify_order, count_table
-from alexquandle.cli import SpecParseError, main, parse_spec
-from alexquandle.lambda_module import LambdaModule, descriptor_str
+from alexquandle.cli import SpecParseError, _read_spec, main, parse_spec
+from alexquandle.lambda_module import LambdaModule, candidate_descriptors, descriptor_str
 from alexquandle.quandle import QuandleTable, alexander_table, is_quandle_iso
 from alexquandle.lambda_module import linear_module
 
@@ -78,6 +79,10 @@ def test_malformed_specs_exit_2(capsys):
         # spec integers are ASCII decimal, -?[0-9]+, as descriptor_str prints them
         "linear:1_0:3", "linear: 8:3", "linear:8:3 ", "linear:+8:3", "linear:8:\u0663",
         "poly:2:1,,1", "poly:2:1,+1,1", "pair:3,9:2,0;1, 2", "linear:--8:3",
+        # syntax is read in full before any value is checked, so an invalid
+        # first component (gcd(4, 2) != 1, a non-unit constant) does not hide
+        # a malformed later one
+        "sum:linear:4:2+foo", "sum:poly:4:2,1+linear:2:1:3",
     ]:
         code, _, err = run(capsys, ["axioms", spec])
         assert code == 2, spec
@@ -142,6 +147,10 @@ def test_table_where_a_module_is_needed(capsys, tmp_path):
     code, out, err = run(capsys, ["build", f"sum:linear:2:1+table:@{path}"])
     assert (code, out) == (2, "")
     assert err.startswith("spec error: sum components must be modules")
+    # refused by its prefix, before the file is read
+    code, out, err = run(capsys, ["build", "sum:linear:2:1+table:@/no/such"])
+    assert (code, out) == (2, "")
+    assert err == "spec error: sum components must be modules (at position 15)\n"
     code, out, err = run(capsys, ["im1t", f"table:@{path}"])
     assert (code, out) == (3, "")
     assert err == "invalid input: im1t needs a module spec, not a table\n"
@@ -265,7 +274,15 @@ def test_classify_representatives_parse_back():
     assert sum(r[0] == "pair" for r in reps) == 4
     assert ("sum", ()) in reps
     for rep in reps:
+        assert _read_spec(descriptor_str(rep), 0) == rep
         assert parse_spec(descriptor_str(rep)).provenance == rep
+
+
+def test_spec_reader_inverts_descriptor_str():
+    # the reader returns the very descriptor printed, building no module
+    for n in range(1, 65):
+        for desc in candidate_descriptors(n):
+            assert _read_spec(descriptor_str(desc), 0) == desc
 
 
 def test_iso_true_false_and_witness(capsys):
@@ -284,6 +301,14 @@ def test_iso_true_false_and_witness(capsys):
     t1 = alexander_table(linear_module(9, 4))
     t2 = alexander_table(linear_module(9, 7))
     assert is_quandle_iso(t1, t2, perm)
+
+
+def test_iso_theorem1_witness_searches_once(capsys, monkeypatch):
+    calls, search = [], quandle.lambda_iso
+    monkeypatch.setattr(quandle, "lambda_iso", lambda m, n: calls.append(1) or search(m, n))
+    code, out, _ = run(capsys, ["iso", "linear:9:4", "linear:9:7", "--witness"])
+    assert code == 0 and out.startswith("true\n")
+    assert len(calls) == 1
 
 
 def test_iso_brute_accepts_tables(capsys, tmp_path):

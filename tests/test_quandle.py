@@ -31,7 +31,6 @@ from alexquandle.quandle import (
     check_axioms,
     construct_quandle_iso,
     dual,
-    is_connected,
     is_quandle_iso,
     orbits,
     table_from_json_dict,
@@ -130,13 +129,6 @@ def test_orbits():
         [1, 4, 7],
         [2, 5, 8],
     ]
-
-
-def test_is_connected_matches_orbit_count():
-    for n in range(2, 11):
-        for m in enumerate_structures(n):
-            tab = alexander_table(m)
-            assert is_connected(tab) == (len(orbits(tab)) == 1)
 
 
 def union_find_orbits(table):
@@ -323,8 +315,7 @@ def test_theorem1_known_pairs():
 
 
 def test_construct_iso_rejects_different_orders():
-    with pytest.raises(ValueError, match="different orders"):
-        construct_quandle_iso(linear_module(8, 3), linear_module(9, 4))
+    assert construct_quandle_iso(linear_module(8, 3), linear_module(9, 4)) is None
 
 
 def test_construct_iso_builds_verified_witness():
@@ -541,8 +532,7 @@ def test_theorem1_witnesses_are_pinned():
 
 
 def test_construct_iso_rejects_non_isomorphic_pair():
-    with pytest.raises(ValueError):
-        construct_quandle_iso(linear_module(8, 1), linear_module(8, 3))
+    assert construct_quandle_iso(linear_module(8, 1), linear_module(8, 3)) is None
 
 
 def test_table_json_roundtrip():
