@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, product
 
 
@@ -263,6 +263,32 @@ def element_orders(factors) -> list[int]:
     return orders
 
 
+def homomorphism_map(factors, images) -> tuple[int, ...]:
+    """The element map of the additive map of Z_d1 + ... + Z_dk into
+    itself that sends the i-th standard generator to ``images[i]``,
+    indexed like ``addition_row``. Each image must have order dividing
+    its d_i, or the map is not well defined; it need not be injective.
+
+    Built one generator e_i of order d at a time, without calling
+    ``add``: with p the order of the span of e_1, ..., e_(i-1), the
+    element h + c*p (h < p, c < d) goes to u[h] + c*y_i, each block the
+    one before it shifted by y_i through the addition row of y_i.
+
+    >>> homomorphism_map((2, 4), (1, 3))
+    (0, 1, 3, 2, 4, 5, 7, 6)
+    >>> homomorphism_map((4,), (2,))
+    (0, 2, 0, 2)
+    """
+    u = [0]
+    for d, y in zip(factors, images):
+        shift = addition_row(factors, y).__getitem__
+        block = u
+        for _ in range(1, d):
+            block = list(map(shift, block))
+            u.extend(block)
+    return tuple(u)
+
+
 def iter_embeddings(factors, candidates, translate):
     """Yield every injective additive map out of Z_d1 + ... + Z_dk.
 
@@ -324,11 +350,11 @@ class GroupAutomorphism:
     """An automorphism, stored by its images of the standard generators.
 
     The public constructor validates: it checks well-definedness (the
-    image of an order-d generator must have order dividing d) and
-    bijectivity, and builds the full element map additively by one
-    ``iter_embeddings`` pass over the given images, translating along
-    the rows ``addition_row(group.invariant_factors, y)``. Parsed input
-    and ``pair`` descriptors go through it.
+    image of an order-d generator must have order dividing d), builds the
+    full element map with ``homomorphism_map``, the kernel that also
+    builds a module's 1 - t, and checks that its image is the whole
+    group. Parsed input and ``pair`` descriptors go through it, and the
+    tests hold the span search's maps against it.
 
     ``iter_automorphisms`` and the recoordinatization of Im(1-t) and
     direct sums build through the trusted ``_trusted`` path instead, which
@@ -360,12 +386,10 @@ class GroupAutomorphism:
                     f"image of an order-{d} generator has order "
                     f"{g.element_order(y)}; the map is not well defined"
                 )
-        candidates = [(y,) for y in images]
-        rows = partial(addition_row, facs)
-        found = next(iter_embeddings(facs, candidates, rows), None)
-        if found is None:
+        element_map = homomorphism_map(facs, images)
+        if len(set(element_map)) != g.order:
             raise ValueError("induced endomorphism is not a bijection")
-        object.__setattr__(self, "element_map", found[1])
+        object.__setattr__(self, "element_map", element_map)
 
     @classmethod
     def _trusted(cls, group, generator_images, element_map) -> GroupAutomorphism:
@@ -424,24 +448,23 @@ def enumerate_automorphisms(group: AbelianGroup) -> list[GroupAutomorphism]:
 
 
 def _generating_set(keys, maps, index, identity) -> list[int]:
-    """Indices of input automorphisms that generate the whole input.
+    """Indices of automorphisms that generate the whole list.
 
     Dimino's algorithm: each automorphism a not yet generated becomes a
     generator, and the subgroup H generated so far grows to <H, a> one
     right coset H∘g at a time, multiplying only coset representatives by
-    the generators. Each element is built once. Every element built is
-    looked up in the input, so a miss means the input is not closed under
-    composition; when the scan ends, every input element has been
-    generated, so the input is a group.
+    the generators. Each element is built once and looked up in the list.
+    The list is a whole Aut(G) from the enumerator, so a miss is a bug
+    of ours and raises RuntimeError.
 
-    The scan runs from the end of the input, where the lexicographic
+    The scan runs from the end of the list, where the lexicographic
     enumeration keeps the elements farthest from the identity, so few
     generators suffice (3 for GL_4(2), against 9 scanning from the
     identity); their number sets the cost of ``conjugacy_classes``.
     """
     ident = index.get(identity)
     if ident is None:
-        raise ValueError("input is not closed under composition")
+        raise RuntimeError("internal: automorphisms not closed under composition")
     inside = bytearray(len(keys))
     inside[ident] = 1
     elements = [ident]
@@ -451,7 +474,7 @@ def _generating_set(keys, maps, index, identity) -> list[int]:
         mi = maps[i]
         found = index.get(tuple([mi[y] for y in keys[j]]))
         if found is None:
-            raise ValueError("input is not closed under composition")
+            raise RuntimeError("internal: automorphisms not closed under composition")
         return found
 
     def add_coset(subgroup, g):
@@ -476,35 +499,25 @@ def _generating_set(keys, maps, index, identity) -> list[int]:
     return gens
 
 
-def conjugacy_classes(auts) -> list[list[GroupAutomorphism]]:
-    """Partition a full automorphism group into conjugacy classes.
+def conjugacy_classes(group: AbelianGroup) -> list[tuple[GroupAutomorphism, int]]:
+    """(representative, class size) for each conjugacy class of Aut(group).
 
-    Classes are sorted by their representative (the member with the
-    lexicographically smallest generator images), members likewise.
+    Aut(group) comes from ``enumerate_automorphisms``, and classes are
+    listed in the order their first member is met there. That order is
+    lexicographic on generator images, so each representative is the
+    smallest member of its class.
 
     Automorphisms are keyed by their generator images: the conjugate
     s∘g∘s⁻¹ is found from its k generator images s(g(s⁻¹(e_j))), not from
     a full element map. Each class is the orbit of its representative
-    under conjugation by a generating set of the input (see
-    ``_generating_set``), so the work is |input| × |generators| conjugates
-    rather than |classes| × |input|.
-
-    Raises ValueError if the input is not closed under composition. That
-    check is a by-product of building the generating set and is always
-    made.
+    under conjugation by a generating set of Aut(group) (see
+    ``_generating_set``), so the work is |Aut| × |generators| conjugates
+    rather than |classes| × |Aut|.
     """
-    auts = list(auts)
-    if not auts:
-        raise ValueError("empty automorphism list")
-    group = auts[0].group
-    for a in auts:
-        if a.group != group:
-            raise ValueError("automorphisms of mixed groups")
+    auts = enumerate_automorphisms(group)
     keys = [a.generator_images for a in auts]
     maps = [a.element_map for a in auts]
     index = {key: i for i, key in enumerate(keys)}
-    if len(index) != len(auts):
-        raise ValueError("duplicate automorphisms in input")
     gen_pts = group.generator_indices()
     conjugators = []
     for s in _generating_set(keys, maps, index, gen_pts):
@@ -512,7 +525,7 @@ def conjugacy_classes(auts) -> list[list[GroupAutomorphism]]:
         conjugators.append((sm, [sm.index(e) for e in gen_pts]))
     seen = bytearray(len(auts))
     classes = []
-    for i in range(len(auts)):
+    for i, rep in enumerate(auts):
         if seen[i]:
             continue
         seen[i] = 1
@@ -520,14 +533,12 @@ def conjugacy_classes(auts) -> list[list[GroupAutomorphism]]:
         for j in orbit:
             gm = maps[j]
             for sm, pull in conjugators:
-                # _generating_set proved the input a group, so this cannot miss
+                # _generating_set proved the list a group, so this cannot miss
                 c = index[tuple([sm[gm[x]] for x in pull])]
                 if not seen[c]:
                     seen[c] = 1
                     orbit.append(c)
-        orbit.sort(key=keys.__getitem__)
-        classes.append([auts[j] for j in orbit])
-    classes.sort(key=lambda cls: cls[0].generator_images)
+        classes.append((rep, len(orbit)))
     return classes
 
 
@@ -643,8 +654,8 @@ def automorphism_classes(group: AbelianGroup):
 
     Z_p^k takes its classes from rational canonical forms
     (``gl_conjugacy_classes``), so GL_k(p) is never enumerated; every other
-    group enumerates its automorphisms and partitions them, each class
-    represented by its member with the smallest generator images.
+    group takes them from ``conjugacy_classes``, each class represented
+    by its member with the smallest generator images.
 
     >>> [size for _, size in automorphism_classes(AbelianGroup((2, 4)))]
     [1, 2, 1, 2, 2]
@@ -653,5 +664,4 @@ def automorphism_classes(group: AbelianGroup):
     if facs and facs[0] == facs[-1] and is_prime(facs[0]):
         yield from gl_conjugacy_classes(facs[0], len(facs))
     else:
-        for cls in conjugacy_classes(enumerate_automorphisms(group)):
-            yield cls[0], len(cls)
+        yield from conjugacy_classes(group)

@@ -133,10 +133,11 @@ def _read_spec(text: str, base: int) -> tuple:
                 raise SpecParseError("empty sum component", offset)
             if comp.startswith("table:"):
                 raise SpecParseError("sum components must be modules", offset)
-            pieces.append(_read_spec(comp, offset))
+            pieces.append(comp if comp.startswith("pair:@") else _read_spec(comp, offset))
         if len(pieces) < 2:
             raise SpecParseError("sum needs at least two components", base + 4)
-        return ("sum", tuple(pieces))
+        # a pair:@ file is read only once the whole spec's syntax is known good
+        return ("sum", tuple(_read_spec(p, 0) if isinstance(p, str) else p for p in pieces))
     if text.startswith("pair:"):
         body = text[5:]
         if body.startswith("@"):

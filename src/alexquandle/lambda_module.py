@@ -31,6 +31,7 @@ from .abelian import (
     _monic_irreducibles,
     addition_row,
     element_orders,
+    homomorphism_map,
     invariant_factors_from_element_orders,
     is_prime,
     iter_embeddings,
@@ -167,26 +168,20 @@ class LambdaModule:
     def one_minus_t_map(self) -> tuple[int, ...]:
         """The element map of 1 - t: ``one_minus_t_map[x]`` is x - t(x).
 
-        Built additively, one standard generator e_i of order d at a time:
-        with p the order of the span of e_1, ..., e_(i-1), the element
-        h + c*p (h < p, c < d) goes to u[h] + c*u(e_i), each block the one
-        before it shifted by u(e_i) through an addition row. u(e_i) comes
-        from coordinates, which ``index_of`` reduces mod each factor.
+        1 - t is additive, so it is the ``homomorphism_map`` of the group
+        that sends each standard generator e to e - t(e), which comes
+        from coordinates (``index_of`` reduces them mod each factor).
 
         >>> linear_module(5, 2).one_minus_t_map
         (0, 4, 3, 2, 1)
         """
         g = self.group
         t = self.t_action.element_map
-        u = [0]
-        for d, e in zip(g.invariant_factors, g.generator_indices()):
-            ue = g.index_of(tuple(map(int.__sub__, g.coords(e), g.coords(t[e]))))
-            shift = addition_row(g.invariant_factors, ue).__getitem__
-            block = u
-            for _ in range(1, d):
-                block = list(map(shift, block))
-                u.extend(block)
-        return tuple(u)
+        images = [
+            g.index_of(tuple(map(int.__sub__, g.coords(e), g.coords(t[e]))))
+            for e in g.generator_indices()
+        ]
+        return homomorphism_map(g.invariant_factors, images)
 
     @cached_property
     def _memo(self) -> dict:
@@ -235,9 +230,12 @@ def _recoordinatize(members, factors, t_map):
     """Express the subgroup ``members`` of a finite abelian group in canonical form.
 
     members must contain 0 as the identity and be closed under addition
-    and under t. The group is Z_d1 + ... + Z_dk over ``factors``, indexed
-    mixed-radix as ``addition_row`` indexes it (the factors need not form
-    a divisibility chain), and ``t_map`` is the element map of t there.
+    and under t. They always are, being the image of 1 - t or a whole
+    direct sum, so a violation is a bug of ours and raises RuntimeError
+    (the CLI's internal error). The group is Z_d1 + ... + Z_dk over
+    ``factors``, indexed mixed-radix as ``addition_row`` indexes it (the
+    factors need not form a divisibility chain), and ``t_map`` is the
+    element map of t there.
     Rows and additive orders are read from the factors, so nothing here
     adds. Returns (module, from_abstract) where module has invariant-factor
     coordinates and from_abstract[i] is the member with abstract index i.
@@ -254,7 +252,7 @@ def _recoordinatize(members, factors, t_map):
     """
     members = sorted(members)
     if members[0] != 0:
-        raise ValueError("identity element 0 missing from member set")
+        raise RuntimeError("internal: identity element 0 missing from member set")
 
     # a member's order in the subgroup is its order in the whole group
     orders = element_orders(factors)
@@ -266,7 +264,7 @@ def _recoordinatize(members, factors, t_map):
     cand = [tuple(g for g in members if orders[g] == d) for d in desc]
     found = next(iter_embeddings(desc, cand, partial(addition_row, factors)), None)
     if found is None or set(found[1]) != set(members):
-        raise ValueError("member set is not closed under the given addition")
+        raise RuntimeError("internal: member set is not closed under the given addition")
 
     # the element with target coordinates (c1, ..., ck) has desc
     # coordinates (ck, ..., c1); the weight of ci there is d(i+1)*...*dk

@@ -49,14 +49,9 @@ class QuandleTable:
 
 @dataclass(frozen=True)
 class IsoWitness:
-    """A bijection witnessing a quandle isomorphism.
-
-    map[x] is the image of x; method records which decider produced it
-    ("theorem1-constructive" or "brute-force").
-    """
+    """A bijection witnessing a quandle isomorphism: map[x] is the image of x."""
 
     map: tuple[int, ...]
-    method: str
 
 
 def alexander_table(module: LambdaModule) -> QuandleTable:
@@ -211,7 +206,7 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
     if t2.order != n:
         return None
     if t1.rows == t2.rows:
-        return IsoWitness(tuple(range(n)), "brute-force")
+        return IsoWitness(tuple(range(n)))
     p1, p2 = _element_profiles(t1), _element_profiles(t2)
     if sorted(p1) != sorted(p2):
         return None
@@ -276,7 +271,7 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
         witness = tuple(image)
         if not is_quandle_iso(t1, t2, witness):
             raise RuntimeError("internal: search returned a non-isomorphism")
-        return IsoWitness(witness, "brute-force")
+        return IsoWitness(witness)
     return None
 
 
@@ -425,7 +420,7 @@ def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness | None
     f = tuple(f)
     if not _carries_quandle(m, n, f):
         raise RuntimeError("internal: constructed map is not an isomorphism")
-    return IsoWitness(f, "theorem1-constructive")
+    return IsoWitness(f)
 
 
 def table_to_json_dict(table: QuandleTable) -> dict:

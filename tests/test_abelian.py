@@ -3,22 +3,25 @@
 Automorphism counts are checked against two independent oracles: Euler's
 totient for cyclic groups and a brute-force scan over all permutations for
 every group of order at most 8. Enumerated automorphisms, built without
-re-validation, are checked against the validating constructor, and
-conjugacy classes against a direct conjugation of full element maps.
-The rational canonical forms of GL_k(p) are checked against those
-classes, and their number against Macdonald's generating function;
-``automorphism_classes`` is checked against them for every group of
-order at most 32.
+re-validation by the span search, are checked against the validating
+constructor, which builds through ``homomorphism_map``, and conjugacy
+classes against a direct conjugation of full element maps by every
+automorphism. The rational canonical forms of GL_k(p) are checked
+against those classes, and their number against Macdonald's generating
+function; ``automorphism_classes`` is checked against them for every
+group of order at most 32.
 """
 
 import itertools
 import math
+import random
 
 import pytest
 
 from alexquandle.abelian import (
     AbelianGroup,
     GroupAutomorphism,
+    _generating_set,
     abelian_groups_of_order,
     addition_row,
     automorphism_classes,
@@ -27,6 +30,7 @@ from alexquandle.abelian import (
     enumerate_automorphisms,
     factorize,
     gl_conjugacy_classes,
+    homomorphism_map,
     invariant_factors_from_element_orders,
     is_prime,
     iter_automorphisms,
@@ -199,6 +203,36 @@ def test_row_and_order_kernels_match_mixed_radix_arithmetic():
             assert orders[x] == k, (factors, x)
 
 
+def test_homomorphism_map_matches_mixed_radix_arithmetic():
+    """homomorphism_map against x = sum of c_i e_i going to sum of c_i y_i,
+    summed digit by digit, on random well-defined images for every group
+    of order at most 32; the validating constructor accepts exactly the
+    maps that are bijective, with the message it has always given."""
+    rng = random.Random(24)
+    kinds = set()
+    for n in range(1, 33):
+        for g in abelian_groups_of_order(n):
+            facs = g.invariant_factors
+            allowed = [[y for y in range(n) if d % g.element_order(y) == 0] for d in facs]
+            for _ in range(10):
+                images = tuple(map(rng.choice, allowed))
+                emap = homomorphism_map(facs, images)
+                for x in range(n):
+                    y = 0
+                    for c, img in zip(g.coords(x), images):
+                        for _ in range(c):
+                            y = mixed_radix_add(facs, y, img)
+                    assert emap[x] == y, (facs, images, x)
+                bijective = len(set(emap)) == n
+                kinds.add(bijective)
+                if bijective:
+                    assert GroupAutomorphism(g, images).element_map == emap
+                else:
+                    with pytest.raises(ValueError, match="^induced endomorphism is not a bijection$"):
+                        GroupAutomorphism(g, images)
+    assert kinds == {True, False}
+
+
 def test_element_order_brute():
     for factors in [(8,), (2, 4), (3, 3), (2, 6)]:
         g = AbelianGroup(factors)
@@ -311,44 +345,38 @@ def test_iter_order_deterministic():
 def test_conjugacy_classes_partition():
     g = AbelianGroup((2, 4))
     auts = enumerate_automorphisms(g)
-    classes = conjugacy_classes(auts)
-    assert sorted(a.element_map for cls in classes for a in cls) == sorted(
-        a.element_map for a in auts
-    )
-    assert sum(len(c) for c in classes) == len(auts)
+    classes = conjugacy_classes(g)
+    assert isinstance(classes, list)
+    assert sum(size for _, size in classes) == len(auts)
 
     def conjugate(h, f):
         return compose(compose(h, f), inverse(h)).element_map
 
-    # members of one class are conjugate, representatives are not
-    for cls in classes:
-        rep = cls[0]
-        for other in cls[1:]:
-            assert any(
-                conjugate(h, rep) == other.element_map for h in auts
-            )
-    reps = [cls[0] for cls in classes]
+    # each class has as many members as its representative has conjugates,
+    # and representatives are not conjugate
+    for r, size in classes:
+        assert len({conjugate(h, r) for h in auts}) == size
+    reps = [r for r, _ in classes]
     for i, r in enumerate(reps):
         for s in reps[i + 1:]:
             assert all(conjugate(h, r) != s.element_map for h in auts)
 
 
-def test_conjugacy_classes_rejects_non_closed():
-    g = AbelianGroup((5,))
-    auts = enumerate_automorphisms(g)
-    with pytest.raises(ValueError):
-        conjugacy_classes(auts[:2])  # {id, x->2x} is not closed
+def generating_set_of(auts):
+    """``_generating_set`` over a list of automorphisms of one group."""
+    keys = [a.generator_images for a in auts]
+    index = {key: i for i, key in enumerate(keys)}
+    gens = auts[0].group.generator_indices()
+    return _generating_set(keys, [a.element_map for a in auts], index, gens)
 
 
-@pytest.mark.parametrize(
-    "orders, message",
-    [((), "empty"), ((3, 5), "mixed groups"), ((3, 3), "duplicate")],
-)
-def test_conjugacy_classes_rejects_malformed_input(orders, message):
-    # the identities of Z_n for each n in orders
-    auts = [GroupAutomorphism(AbelianGroup((n,)), (1,)) for n in orders]
-    with pytest.raises(ValueError, match=message):
-        conjugacy_classes(auts)
+def test_generating_set_rejects_non_closed():
+    auts = enumerate_automorphisms(AbelianGroup((5,)))
+    with pytest.raises(RuntimeError, match="internal: .* not closed"):
+        generating_set_of(auts[:2])  # {id, x->2x} is not closed
+    # a whole Aut(G) generates itself; GL_4(2) needs 3 generators
+    gl4 = enumerate_automorphisms(AbelianGroup((2, 2, 2, 2)))
+    assert len(generating_set_of(gl4)) == 3
 
 
 def test_invariant_factors_from_element_orders_roundtrip():
@@ -374,8 +402,10 @@ def test_trusted_enumeration_matches_validating_constructor():
         samples.append(list(itertools.islice(iter_automorphisms(AbelianGroup(factors)), 2000)))
     for auts in samples:
         for aut in auts:
-            # both constructors share iter_embeddings, so also check the map
-            # against x = sum of c_i e_i going to sum of c_i y_i
+            # the enumerator builds through iter_embeddings and the validating
+            # constructor through homomorphism_map, two independent kernels;
+            # the mixed-radix add, a third, gives x = sum of c_i e_i going to
+            # sum of c_i y_i
             g = aut.group
             for x in range(g.order):
                 y = 0
@@ -389,7 +419,8 @@ def test_trusted_enumeration_matches_validating_constructor():
 
 
 def conjugacy_classes_oracle(auts):
-    """Classes found by conjugating full element maps by every member."""
+    """(smallest member, size) of each class, found by conjugating full
+    element maps by every member, sorted by smallest member."""
     n = auts[0].group.order
     by_map = {a.element_map: a for a in auts}
     seen = set()
@@ -405,7 +436,8 @@ def conjugacy_classes_oracle(auts):
             hm, gm = h.element_map, g.element_map
             members.add(tuple(hm[gm[inv[x]]] for x in range(n)))
         seen |= members
-        classes.append(sorted((by_map[m] for m in members), key=lambda a: a.generator_images))
+        smallest = min((by_map[m] for m in members), key=lambda a: a.generator_images)
+        classes.append((smallest, len(members)))
     classes.sort(key=lambda cls: cls[0].generator_images)
     return classes
 
@@ -413,28 +445,38 @@ def conjugacy_classes_oracle(auts):
 def test_conjugacy_classes_match_oracle():
     for n in range(1, 13):
         for g in abelian_groups_of_order(n):
-            auts = enumerate_automorphisms(g)
-            expected = conjugacy_classes_oracle(auts)
-            assert conjugacy_classes(auts) == expected, g
-            assert conjugacy_classes(reversed(auts)) == expected, g
+            assert conjugacy_classes(g) == conjugacy_classes_oracle(enumerate_automorphisms(g)), g
 
 
 def test_conjugacy_class_equations_of_gl3_and_gl4_over_f2():
-    gl3 = conjugacy_classes(enumerate_automorphisms(AbelianGroup((2, 2, 2))))
-    assert sorted(len(c) for c in gl3) == [1, 21, 24, 24, 42, 56]
-    gl4 = conjugacy_classes(enumerate_automorphisms(AbelianGroup((2, 2, 2, 2))))
+    gl3 = conjugacy_classes(AbelianGroup((2, 2, 2)))
+    assert sorted(size for _, size in gl3) == [1, 21, 24, 24, 42, 56]
+    gl4 = conjugacy_classes(AbelianGroup((2, 2, 2, 2)))
     assert len(gl4) == 14
-    assert sum(len(c) for c in gl4) == 20160
+    assert sum(size for _, size in gl4) == 20160
 
 
-def test_conjugacy_classes_rejects_non_closed_nonabelian():
+def test_generating_set_rejects_non_closed_nonabelian():
     # Aut(Z2^2) is S3; the identity and two transpositions are not a subgroup
     auts = enumerate_automorphisms(AbelianGroup((2, 2)))
     ident = auts[0]
     involutions = [a for a in auts[1:] if compose(a, a) == ident]
     assert len(involutions) == 3
-    with pytest.raises(ValueError, match="not closed"):
-        conjugacy_classes([ident] + involutions[:2])
+    with pytest.raises(RuntimeError, match="internal: .* not closed"):
+        generating_set_of([ident] + involutions[:2])
+
+
+def class_of(aut, auts):
+    """(smallest generator images, size) of the conjugacy class of aut,
+    found by conjugating it by every member of auts, the whole Aut(G):
+    s∘aut∘s⁻¹ sends e_j to s(aut(s⁻¹(e_j)))."""
+    gens = aut.group.generator_indices()
+    am = aut.element_map
+    members = set()
+    for s in auts:
+        sm = s.element_map
+        members.add(tuple(sm[am[sm.index(e)]] for e in gens))
+    return min(members), len(members)
 
 
 def gl_class_count(q: int, k: int) -> int:
@@ -457,14 +499,14 @@ ELEMENTARY_ABELIAN_UP_TO_27 = [
 @pytest.mark.parametrize("p, k", ELEMENTARY_ABELIAN_UP_TO_27)
 def test_rational_canonical_forms_match_enumerated_classes(p, k):
     group = AbelianGroup((p,) * k)
-    classes = conjugacy_classes(enumerate_automorphisms(group))
-    class_of = {a.generator_images: i for i, cls in enumerate(classes) for a in cls}
+    classes = [(rep.generator_images, size) for rep, size in conjugacy_classes(group)]
+    auts = enumerate_automorphisms(group)
     forms = list(gl_conjugacy_classes(p, k))
     assert all(aut.group == group for aut, _ in forms)
-    hits = [class_of[aut.generator_images] for aut, _ in forms]
+    found = [class_of(aut, auts) for aut, _ in forms]
     # distinct forms land in distinct classes, and every class is hit
-    assert sorted(hits) == list(range(len(classes)))
-    assert [size for _, size in forms] == [len(classes[i]) for i in hits]
+    assert sorted(found) == sorted(classes)
+    assert [size for _, size in forms] == [size for _, size in found]
     assert len(forms) == gl_class_count(p, k)
 
 
@@ -491,14 +533,15 @@ ABELIAN_GROUPS_UP_TO_32 = [
 @pytest.mark.parametrize("factors", ABELIAN_GROUPS_UP_TO_32, ids=str)
 def test_automorphism_classes_match_enumerated_classes(factors):
     group = AbelianGroup(factors)
-    classes = conjugacy_classes(enumerate_automorphisms(group))
-    class_of = {a.generator_images: i for i, cls in enumerate(classes) for a in cls}
+    classes = [(rep.generator_images, size) for rep, size in conjugacy_classes(group)]
+    auts = enumerate_automorphisms(group)
     found = list(automorphism_classes(group))
     assert all(aut.group == group for aut, _ in found)
-    hits = [class_of[aut.generator_images] for aut, _ in found]
-    # distinct representatives land in distinct classes, and every class is hit
-    assert sorted(hits) == list(range(len(classes)))
-    assert [size for _, size in found] == [len(classes[i]) for i in hits]
+    brute = [class_of(aut, auts) for aut, _ in found]
+    # distinct representatives land in distinct classes, every class is hit,
+    # and each size is the class's
+    assert sorted(brute) == sorted(classes)
+    assert [size for _, size in found] == [size for _, size in brute]
 
 
 def test_automorphism_classes_of_z2_5_count_gl_5_2():

@@ -446,6 +446,18 @@ def test_pair_spec_from_file(capsys, tmp_path):
     assert (code, err) == (3, "invalid input: expected 1 coordinates, got 2\n")
 
 
+def test_pair_file_is_read_after_the_whole_spec(capsys):
+    # a malformed later sum component is a spec error, whatever the file
+    code, out, err = run(capsys, ["iso", "sum:pair:@/no/such+foo", "linear:4:1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("spec error: spec must be 0 or start with")
+    assert err.endswith("(at position 19)\n")
+    # a well-formed spec then reads the file, and an unreadable one is invalid input
+    code, out, err = run(capsys, ["iso", "sum:pair:@/no/such+linear:4:1", "linear:4:1"])
+    assert (code, out) == (3, "")
+    assert err.startswith("invalid input: cannot read /no/such")
+
+
 def test_linear_subcommands(capsys):
     assert run(capsys, ["linear", "iso", "9", "4", "7"])[0:2] == (0, "true\n")
     assert run(capsys, ["linear", "iso", "9", "4", "2"])[0:2] == (1, "false\n")

@@ -465,6 +465,17 @@ def test_recoordinatize_searches_once(monkeypatch):
     assert all(count == 1 for _, count in per_call)
 
 
+def test_recoordinatize_faults_are_internal():
+    """Members always come from 1 - t or a whole sum, so a member set
+    without 0, or one not closed under addition, is a bug of ours:
+    RuntimeError, which the CLI reports as an internal error."""
+    with pytest.raises(RuntimeError, match="internal: identity element 0 missing"):
+        lambda_module._recoordinatize({1, 2}, (3,), (0, 1, 2))
+    # {0, e1, e2} in Z3 + Z3 has the element orders of Z3, but 2*e1 is missing
+    with pytest.raises(RuntimeError, match="internal: member set is not closed"):
+        lambda_module._recoordinatize({0, 1, 3}, (3, 3), tuple(range(9)))
+
+
 def test_certificate_is_isomorphism_invariant():
     mods = enumerate_structures(8)
     for m, n in itertools.combinations(mods, 2):
