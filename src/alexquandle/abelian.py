@@ -180,33 +180,6 @@ class AbelianGroup:
             p *= d
         return out
 
-    def addition_table(self) -> tuple[tuple[int, ...], ...]:
-        """The Cayley table of addition: ``rows[z][x] == self.add(z, x)``.
-
-        Built one factor at a time, without calling ``add``. With p the
-        order of the factors so far and rows the table of their sum,
-        adding a factor Z_d writes z = z0 + p*a and x = x0 + p*c, so
-        z + x = rows[z0][x0] + p*((a + c) mod d): row z is the d copies of
-        rows[z0] shifted by p*0, ..., p*(d-1), rotated left by a blocks.
-        Not cached; the caller owns the n*n entries.
-
-        >>> AbelianGroup((2, 2)).addition_table()[1]
-        (1, 0, 3, 2)
-        """
-        rows: list[tuple[int, ...]] = [(0,)]
-        p = 1
-        for d in self.invariant_factors:
-            grown: list = [None] * (p * d)
-            for z0, row in enumerate(rows):
-                blocks = [tuple(map((p * k).__add__, row)) for k in range(d)]
-                for a in range(d):
-                    grown[z0 + p * a] = tuple(
-                        chain.from_iterable(blocks[a:] + blocks[:a])
-                    )
-            rows = grown
-            p *= d
-        return tuple(rows)
-
     def element_order(self, x: int) -> int:
         order = 1
         for d in self.invariant_factors:
@@ -431,14 +404,15 @@ def iter_automorphisms(group: AbelianGroup):
     constructor with the element map already in hand. The identity always
     comes first.
 
-    Translations are the rows of ``group.addition_table()``, built once
+    Translations are the ``addition_row`` of every element, built once
     per call and local to it (2,304 entries at order 48), and element
     orders come from ``element_orders``.
     """
     facs = group.invariant_factors
     orders = element_orders(facs)
     cand = [tuple(x for x, o in enumerate(orders) if d % o == 0) for d in facs]
-    for images, emap in iter_embeddings(facs, cand, group.addition_table().__getitem__):
+    rows = [addition_row(facs, z) for z in range(group.order)]
+    for images, emap in iter_embeddings(facs, cand, rows.__getitem__):
         yield GroupAutomorphism._trusted(group, images, emap)
 
 

@@ -253,10 +253,14 @@ def _recoordinatize(members, factors, t_map):
     members = sorted(members)
     if members[0] != 0:
         raise RuntimeError("internal: identity element 0 missing from member set")
+    not_closed = "internal: member set is not closed under the given addition"
 
     # a member's order in the subgroup is its order in the whole group
     orders = element_orders(factors)
-    target = invariant_factors_from_element_orders(map(orders.__getitem__, members))
+    try:
+        target = invariant_factors_from_element_orders(map(orders.__getitem__, members))
+    except ValueError:  # no abelian group has these orders
+        raise RuntimeError(not_closed) from None
     desc = tuple(reversed(target))
 
     # a basis element for Z_d has order exactly d, both in the group and
@@ -264,7 +268,7 @@ def _recoordinatize(members, factors, t_map):
     cand = [tuple(g for g in members if orders[g] == d) for d in desc]
     found = next(iter_embeddings(desc, cand, partial(addition_row, factors)), None)
     if found is None or set(found[1]) != set(members):
-        raise RuntimeError("internal: member set is not closed under the given addition")
+        raise RuntimeError(not_closed)
 
     # the element with target coordinates (c1, ..., ck) has desc
     # coordinates (ck, ..., c1); the weight of ci there is d(i+1)*...*dk

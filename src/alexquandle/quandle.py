@@ -57,16 +57,25 @@ class IsoWitness:
 def alexander_table(module: LambdaModule) -> QuandleTable:
     """The Cayley table of x ^ y = t(x) + (1 - t)(y).
 
-    Row x is row t(x) of the group's addition table read at the columns
-    (1 - t)(y), y = 0, ..., n-1.
+    Built the way ``homomorphism_map`` builds a map, one standard
+    generator e of order d at a time: row 0 is 1 - t, and row x + e is
+    row x shifted by t(e), so the next d - 1 blocks of rows are each the
+    block before mapped through the addition row of t(e).
+
+    >>> from alexquandle.lambda_module import linear_module
+    >>> alexander_table(linear_module(3, 2)).rows
+    ((0, 2, 1), (2, 1, 0), (1, 0, 2))
     """
-    n = module.order
-    if n == 1:
-        return QuandleTable(((0,),))
-    table = module.group.addition_table()
+    facs = module.group.invariant_factors
     tmap = module.t_action.element_map
-    pick = itemgetter(*module.one_minus_t_map)
-    return QuandleTable(tuple(pick(table[tmap[x]]) for x in range(n)))
+    rows = [module.one_minus_t_map]
+    for d, e in zip(facs, module.group.generator_indices()):
+        shift = addition_row(facs, tmap[e]).__getitem__
+        block = rows
+        for _ in range(1, d):
+            block = [tuple(map(shift, row)) for row in block]
+            rows.extend(block)
+    return QuandleTable(tuple(rows))
 
 
 def check_axioms(table: QuandleTable):

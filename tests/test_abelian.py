@@ -134,28 +134,18 @@ def test_arithmetic_consistency():
         for c in range(1, 9):
             acc = g.add(acc, x)
             assert coordinatewise(g, c.__mul__, x) == acc
-    for x in range(g.order):
-        for y in range(g.order):
-            # subtracting coordinate-wise undoes add
-            assert coordinatewise(g, int.__sub__, g.add(x, y), y) == x
-            assert g.add(x, y) == g.add(y, x)
-            cx, cy = g.coords(x), g.coords(y)
-            summed = tuple(
-                (a + b) % d for a, b, d in zip(cx, cy, g.invariant_factors)
-            )
-            assert g.add(x, y) == g.index_of(summed)
-
-
-def test_addition_table_matches_add():
-    for n in range(1, 33):
-        for g in abelian_groups_of_order(n):
-            rows = g.addition_table()
-            assert len(rows) == n
-            for z in range(g.order):
-                assert len(rows[z]) == n
-                assert addition_row(g.invariant_factors, z) == rows[z]
-                for x in range(g.order):
-                    assert rows[z][x] == g.add(z, x)
+    # add against coordinates on every group of order <= 32
+    for g in (g for n in range(1, 33) for g in abelian_groups_of_order(n)):
+        for x in range(g.order):
+            for y in range(g.order):
+                # subtracting coordinate-wise undoes add
+                assert coordinatewise(g, int.__sub__, g.add(x, y), y) == x
+                assert g.add(x, y) == g.add(y, x)
+                cx, cy = g.coords(x), g.coords(y)
+                summed = tuple(
+                    (a + b) % d for a, b, d in zip(cx, cy, g.invariant_factors)
+                )
+                assert g.add(x, y) == g.index_of(summed)
 
 
 def factor_sequences(bound: int):

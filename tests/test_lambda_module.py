@@ -468,12 +468,16 @@ def test_recoordinatize_searches_once(monkeypatch):
 def test_recoordinatize_faults_are_internal():
     """Members always come from 1 - t or a whole sum, so a member set
     without 0, or one not closed under addition, is a bug of ours:
-    RuntimeError, which the CLI reports as an internal error."""
+    RuntimeError, which the CLI reports as an internal error, also when
+    its element orders fit no abelian group."""
     with pytest.raises(RuntimeError, match="internal: identity element 0 missing"):
         lambda_module._recoordinatize({1, 2}, (3,), (0, 1, 2))
     # {0, e1, e2} in Z3 + Z3 has the element orders of Z3, but 2*e1 is missing
     with pytest.raises(RuntimeError, match="internal: member set is not closed"):
         lambda_module._recoordinatize({0, 1, 3}, (3, 3), tuple(range(9)))
+    # {0, 1, 2} in Z4 has orders 1, 4, 2, which no group of order 3 has
+    with pytest.raises(RuntimeError, match="internal: member set is not closed"):
+        lambda_module._recoordinatize({0, 1, 2}, (4,), (0, 1, 2, 3))
 
 
 def test_certificate_is_isomorphism_invariant():

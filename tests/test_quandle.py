@@ -9,7 +9,12 @@ import sys
 
 import pytest
 
-from alexquandle.abelian import GroupAutomorphism, enumerate_automorphisms
+from alexquandle.abelian import (
+    GroupAutomorphism,
+    abelian_groups_of_order,
+    automorphism_classes,
+    enumerate_automorphisms,
+)
 from alexquandle.lambda_module import (
     Polynomial,
     descriptor_str,
@@ -97,6 +102,15 @@ def test_alexander_table_matches_cell_oracle():
         module_from_polynomial(Polynomial(4, (1, 1, 1))),
         module_from_polynomial(Polynomial(2, (1, 1, 0, 0, 0, 0, 0, 1))),
         direct_sum(linear_module(9, 2), linear_module(16, 7)),
+    ]
+    # one module per class of Aut(G) for every G of order 16, 27 and 32:
+    # t acts on up to five generators, each of whose blocks of rows the
+    # table shifts by its own t(e)
+    modules += [
+        module_from_pair(aut)
+        for n in (16, 27, 32)
+        for g in abelian_groups_of_order(n)
+        for aut, _ in automorphism_classes(g)
     ]
     for m in modules:
         assert alexander_table(m).rows == cell_oracle(m)
