@@ -37,7 +37,6 @@ from .lambda_module import (
     lambda_iso,
     linear_module,
     module_from_descriptor,
-    module_from_pair,
     module_from_polynomial,
     named_candidates,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "lambda_iso",
     "linear_module",
     "module_from_descriptor",
-    "module_from_pair",
     "module_from_polynomial",
     "named_candidates",
     "linear_connected",

@@ -48,7 +48,6 @@ from .lambda_module import (
     lambda_iso,
     module_certificate,
     module_from_descriptor,
-    module_from_pair,
     named_candidates,
     primary_part,
     sum_descriptor,
@@ -96,7 +95,8 @@ class ClassificationReport:
 @dataclass(eq=False)
 class _Class:
     """A class of one prime-power part: its Im(1-t) module, and the
-    smallest member provenance until a named candidate replaces it."""
+    smallest descriptor placed in it, a member's pair descriptor until a
+    named candidate replaces it."""
 
     image: LambdaModule
     representative: tuple
@@ -109,7 +109,7 @@ def enumerate_structures(n: int) -> list[LambdaModule]:
     if n < 1:
         raise ValueError(f"no structures of order {n}")
     return [
-        module_from_pair(a)
+        LambdaModule(a)
         for group in abelian_groups_of_order(n)
         for a in enumerate_automorphisms(group)
     ]
@@ -127,7 +127,7 @@ def _classify_prime_power(q: int):
     # member when no candidate matches.
     buckets: dict[tuple, list[_Class]] = {}
 
-    def place(module: LambdaModule) -> _Class:
+    def place(module: LambdaModule, desc: tuple) -> _Class:
         image = image_one_minus_t(module).as_module
         cert = module_certificate(image)
         bucket = buckets.setdefault(cert, [])
@@ -138,16 +138,18 @@ def _classify_prime_power(q: int):
         )
         if cls is None:
             # the quandle is connected exactly when Im(1-t) is the whole module
-            cls = _Class(image, module.provenance, image.order == q)
+            cls = _Class(image, desc, image.order == q)
             bucket.append(cls)
-        elif descriptor_key(module.provenance) < descriptor_key(cls.representative):
-            cls.representative = module.provenance
+        elif descriptor_key(desc) < descriptor_key(cls.representative):
+            cls.representative = desc
         return cls
 
     for group in abelian_groups_of_order(q):
+        facs = group.invariant_factors
         for aut, weight in automorphism_classes(group):
-            place(module_from_pair(aut)).weight += weight
-    named = {desc: place(cand) for desc, cand in named_candidates(q)}
+            desc = ("pair", facs, tuple(map(group.coords, aut.generator_images)))
+            place(LambdaModule(aut), desc).weight += weight
+    named = {desc: place(cand, desc) for desc, cand in named_candidates(q)}
     return [c for bucket in buckets.values() for c in bucket], named
 
 

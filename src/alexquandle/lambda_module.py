@@ -6,9 +6,9 @@ constructors cover the standard finite quotients: Z_n with t acting as a
 unit a, quotients of Z_n[t] by a monic polynomial with unit constant term
 (companion-matrix action), direct sums, and raw automorphisms of a group.
 
-Modules carry an optional provenance descriptor recording how they were
-built; descriptors double as canonical names during classification.
-Descriptor shapes:
+A module is its t-action alone. Its name is a descriptor, which the
+caller holds; descriptors rebuild modules (``module_from_descriptor``) and
+double as canonical names during classification. Descriptor shapes:
 
     ("linear", n, a)            Z_n, t = multiplication by a
     ("poly", n, coeffs)         Z_n[t] / (c0 + c1 t + ... + t^d), ascending coeffs
@@ -21,7 +21,7 @@ The empty sum ("sum", ()) names the trivial module and prints as "0".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, combinations_with_replacement, product
 
@@ -154,7 +154,6 @@ class LambdaModule:
     """
 
     t_action: GroupAutomorphism
-    provenance: tuple | None = field(default=None, compare=False)
 
     @property
     def group(self) -> AbelianGroup:
@@ -192,13 +191,6 @@ class LambdaModule:
         return {}
 
 
-def module_from_pair(phi: GroupAutomorphism) -> LambdaModule:
-    """The module on phi's group with t acting as phi."""
-    group = phi.group
-    images = tuple(group.coords(phi.element_map[e]) for e in group.generator_indices())
-    return LambdaModule(phi, ("pair", group.invariant_factors, images))
-
-
 def linear_module(n: int, a: int) -> LambdaModule:
     """Z_n with t acting as multiplication by a unit a."""
     if n < 2:
@@ -206,24 +198,20 @@ def linear_module(n: int, a: int) -> LambdaModule:
     a %= n
     if math.gcd(n, a) != 1:
         raise ValueError(f"gcd({n}, {a}) != 1, so t would not act invertibly")
-    t = GroupAutomorphism(AbelianGroup((n,)), (a,))
-    return LambdaModule(t, ("linear", n, a))
+    return LambdaModule(GroupAutomorphism(AbelianGroup((n,)), (a,)))
 
 
 def module_from_polynomial(p: Polynomial) -> LambdaModule:
     """Quotient of Z_n[t] by a monic polynomial: companion-matrix t-action.
 
-    Degree-1 quotients are returned in their linear form.
+    A degree-1 quotient Z_n[t]/(c0 + t) is Z_n with t acting as -c0.
     """
     n, coeffs, d = p.modulus, p.coeffs, p.degree
-    if d == 1:
-        return linear_module(n, -coeffs[0])
     group = AbelianGroup((n,) * d)
     gens = group.generator_indices()
     images = list(gens[1:])
     images.append(group.index_of(tuple((-c) % n for c in coeffs[:d])))
-    t = GroupAutomorphism(group, tuple(images))
-    return LambdaModule(t, ("poly", n, coeffs))
+    return LambdaModule(GroupAutomorphism(group, tuple(images)))
 
 
 def _recoordinatize(members, factors, t_map):
@@ -290,11 +278,9 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
     """The direct sum of any number of modules, in invariant-factor coordinates.
 
     Pieces of order 1 are skipped: with no other piece the sum is the
-    trivial module, named by the empty sum, and with one it is that
-    piece. The others are added left to right, and each partial sum is
-    recoordinatized before the next piece joins it. The provenance is
-    the ``sum_descriptor`` of the pieces when every piece has one, and
-    None otherwise.
+    trivial module, and with one it is that piece. The others are added
+    left to right, and each partial sum is recoordinatized before the
+    next piece joins it.
 
     Adding m2 to m1, the pair (a, b) has index a + |m1|*b, mixed-radix
     over m1's factors followed by m2's. That sequence need not be a
@@ -306,9 +292,7 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
     """
     pieces = [m for m in modules if m.order > 1]
     if not pieces:
-        return LambdaModule(GroupAutomorphism(AbelianGroup(()), ()), ("sum", ()))
-    if len(pieces) == 1:
-        return pieces[0]
+        return LambdaModule(GroupAutomorphism(AbelianGroup(()), ()))
     out = pieces[0]
     for m in pieces[1:]:
         n1 = out.order
@@ -316,10 +300,7 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
         t1, t2 = out.t_action.element_map, m.t_action.element_map
         t_map = [a + n1 * b for b in t2 for a in t1]
         out, _ = _recoordinatize(range(len(t_map)), facs, t_map)
-    provenances = [m.provenance for m in pieces]
-    if None in provenances:
-        return out
-    return replace(out, provenance=sum_descriptor(provenances))
+    return out
 
 
 @dataclass(eq=False)
@@ -709,7 +690,7 @@ def module_from_descriptor(desc) -> LambdaModule:
         return direct_sum(*map(module_from_descriptor, desc[1]))
     group = AbelianGroup(tuple(desc[1]))
     images = tuple(group.index_of(c) for c in desc[2])
-    return module_from_pair(GroupAutomorphism(group, images))
+    return LambdaModule(GroupAutomorphism(group, images))
 
 
 def descriptor_from_json_dict(data) -> tuple:

@@ -28,11 +28,11 @@ from alexquandle.classify import (
     predicted_counts,
 )
 from alexquandle.lambda_module import (
+    LambdaModule,
     Polynomial,
     lambda_iso,
     linear_module,
     module_from_descriptor,
-    module_from_pair,
 )
 from alexquandle.linear import linear_dual, linear_iso
 from alexquandle.quandle import (
@@ -193,7 +193,7 @@ def test_criterion_7_property_suites():
     for n in range(1, 16):
         tables.extend(alexander_table(m) for m in enumerate_structures(n))
     tables.extend(
-        alexander_table(module_from_pair(aut))
+        alexander_table(LambdaModule(aut))
         for g in abelian_groups_of_order(16)
         for aut, _ in automorphism_classes(g)
     )

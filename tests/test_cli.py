@@ -18,7 +18,12 @@ import alexquandle.cli as cli
 import alexquandle.quandle as quandle
 from alexquandle.classify import classify_order, count_table
 from alexquandle.cli import SpecParseError, _read_spec, main, parse_spec
-from alexquandle.lambda_module import LambdaModule, candidate_descriptors, descriptor_str
+from alexquandle.lambda_module import (
+    LambdaModule,
+    candidate_descriptors,
+    descriptor_str,
+    module_from_descriptor,
+)
 from alexquandle.quandle import QuandleTable, alexander_table, is_quandle_iso
 from alexquandle.lambda_module import linear_module
 
@@ -275,7 +280,7 @@ def test_classify_representatives_parse_back():
     assert ("sum", ()) in reps
     for rep in reps:
         assert _read_spec(descriptor_str(rep), 0) == rep
-        assert parse_spec(descriptor_str(rep)).provenance == rep
+        assert parse_spec(descriptor_str(rep)) == module_from_descriptor(rep)
 
 
 def test_spec_reader_inverts_descriptor_str():

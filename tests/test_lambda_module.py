@@ -41,7 +41,6 @@ from alexquandle.lambda_module import (
     module_certificate,
     module_from_descriptor,
     module_from_json_dict,
-    module_from_pair,
     module_from_polynomial,
     named_candidates,
     primary_part,
@@ -104,7 +103,7 @@ def test_polynomial_validation():
 def test_linear_module_basics():
     m = linear_module(9, 4)
     assert m.order == 9
-    assert m.provenance == ("linear", 9, 4)
+    assert m.t_action.generator_images == (4,)
     t = m.t_action.element_map
     for x in range(9):
         assert t[x] == 4 * x % 9
@@ -113,7 +112,8 @@ def test_linear_module_basics():
         linear_module(9, 3)
     with pytest.raises(ValueError):
         linear_module(1, 1)
-    assert linear_module(5, 7).provenance == ("linear", 5, 2)
+    assert linear_module(5, 7) == linear_module(5, 2)
+    assert linear_module(5, 7).t_action.generator_images == (2,)
 
 
 def test_polynomial_quotient_annihilated_by_its_polynomial():
@@ -133,8 +133,12 @@ def test_polynomial_quotient_annihilated_by_its_polynomial():
 
 
 def test_degree_one_quotient_is_linear():
-    m = module_from_polynomial(Polynomial(9, (-4, 1)))
-    assert m.provenance == ("linear", 9, 4)
+    # Z_n[t]/(c0 + t) is Z_n with t acting as -c0
+    for n in range(2, 40):
+        for c0 in range(1, n):
+            if math.gcd(n, c0) == 1:
+                m = module_from_polynomial(Polynomial(n, (c0, 1)))
+                assert m == linear_module(n, -c0), (n, c0)
 
 
 def test_t_inverse_and_one_minus_t():
@@ -183,7 +187,6 @@ def test_direct_sum_order_and_trivial_identity():
     assert direct_sum(a, direct_sum()) is a
     assert direct_sum(a) is a
     assert direct_sum().group == AbelianGroup(())
-    assert direct_sum().provenance == ("sum", ())
 
 
 def test_direct_sum_commutes_and_associates_up_to_iso():
@@ -200,32 +203,20 @@ def test_direct_sum_commutes_and_associates_up_to_iso():
     assert_valid_witness(left, right, w)
 
 
-def test_direct_sum_provenance_sorted():
-    comps = [linear_module(4, 3), linear_module(2, 1), linear_module(3, 2)]
-    s = direct_sum(*comps)
-    assert s.provenance[0] == "sum"
-    descs = list(s.provenance[1])
-    assert descs == sorted(descs, key=descriptor_key)
-    assert s.order == 24
-
-
 def test_direct_sum_adds_pieces_left_to_right():
     # each partial sum is recoordinatized before the next piece joins it
     a, b = linear_module(4, 3), linear_module(2, 1)
     c = module_from_polynomial(Polynomial(2, (1, 1, 1)))
     s, nested = direct_sum(a, b, c), direct_sum(direct_sum(a, b), c)
     assert s == nested
-    assert s.provenance == nested.provenance
 
 
-def test_direct_sum_with_an_unnamed_piece_has_no_provenance():
+def test_direct_sum_with_an_image_piece_matches_the_named_sum():
     # Im(1-t) of linear:8:3 is Z4 with t = 3, built without a descriptor
     im = image_one_minus_t(linear_module(8, 3)).as_module
-    assert im.provenance is None
     c = linear_module(3, 2)
     named = direct_sum(linear_module(4, 3), c)
     for s in (direct_sum(im, c), direct_sum(c, im)):
-        assert s.provenance is None
         assert lambda_iso(s, named) is not None
 
 
@@ -507,8 +498,8 @@ def test_lambda_iso_settles_keyed_pairs_without_search(monkeypatch):
     assert lambda_iso(linear_module(9, 4), linear_module(9, 7)) is None
     assert lambda_iso(linear_module(9, 4), linear_module(9, 4)) == tuple(range(9))
     z3_2 = AbelianGroup((3, 3))
-    one = module_from_pair(GroupAutomorphism(z3_2, z3_2.generator_indices()))
-    swap = module_from_pair(GroupAutomorphism(z3_2, (3, 1)))
+    one = LambdaModule(GroupAutomorphism(z3_2, z3_2.generator_indices()))
+    swap = LambdaModule(GroupAutomorphism(z3_2, (3, 1)))
     assert lambda_iso(one, swap) is None
     assert lambda_iso(swap, swap) == tuple(range(9))
     # unkeyed modules with unequal certificates are settled by the same screen
@@ -522,7 +513,7 @@ def test_lambda_iso_settles_keyed_pairs_without_search(monkeypatch):
 def class_structures(order: int) -> list[LambdaModule]:
     """One structure per conjugacy class of Aut(G), over every G of the order."""
     return [
-        module_from_pair(aut)
+        LambdaModule(aut)
         for g in abelian_groups_of_order(order)
         for aut, _ in automorphism_classes(g)
     ]
@@ -600,7 +591,7 @@ def random_conjugate(m: LambdaModule, rng: random.Random) -> LambdaModule:
             pass
     t, phi_map = m.t_action.element_map, phi.element_map
     images = tuple(phi_map[t[phi_map.index(e)]] for e in gens)
-    return module_from_pair(GroupAutomorphism(g, images))
+    return LambdaModule(GroupAutomorphism(g, images))
 
 
 @pytest.mark.parametrize("order, pairs", [(49, 60), (121, 20)])
@@ -696,7 +687,7 @@ def test_t_generators_of_t_cyclic_and_trivial_t_modules():
                 assert len(gens) == (image.order > 1), desc
     for factors in [(2, 2, 2), (2, 4), (3, 9)]:
         g = AbelianGroup(factors)
-        m = module_from_pair(GroupAutomorphism(g, g.generator_indices()))
+        m = LambdaModule(GroupAutomorphism(g, g.generator_indices()))
         assert len(greedy_t_generators(m)) == len(factors)
 
 

@@ -16,13 +16,13 @@ from alexquandle.abelian import (
     enumerate_automorphisms,
 )
 from alexquandle.lambda_module import (
+    LambdaModule,
     Polynomial,
     descriptor_str,
     direct_sum,
     image_one_minus_t,
     lambda_iso,
     linear_module,
-    module_from_pair,
     module_from_polynomial,
     named_candidates,
 )
@@ -107,7 +107,7 @@ def test_alexander_table_matches_cell_oracle():
     # t acts on up to five generators, each of whose blocks of rows the
     # table shifts by its own t(e)
     modules += [
-        module_from_pair(aut)
+        LambdaModule(aut)
         for n in (16, 27, 32)
         for g in abelian_groups_of_order(n)
         for aut, _ in automorphism_classes(g)
@@ -246,7 +246,7 @@ def test_dual_is_involution_and_inverts_t():
         assert dual(dual(tab)) == tab
         gens = m.group.generator_indices()
         t_inverse = tuple(m.t_action.element_map.index(e) for e in gens)
-        inv = module_from_pair(GroupAutomorphism(m.group, t_inverse))
+        inv = LambdaModule(GroupAutomorphism(m.group, t_inverse))
         assert dual(tab) == alexander_table(inv)
 
 
