@@ -199,7 +199,9 @@ def addition_row(factors, z: int) -> tuple[int, ...]:
     order of the factors so far, z's coordinate c in a factor Z_d
     rotates the offsets p*0, ..., p*(d-1) left by c; the first factor's
     row is those offsets, and each later factor repeats the row so far
-    once per offset, shifted by it.
+    once per offset, shifted by it, in one comprehension over offsets
+    and row (a separate pass per offset costs more than the additions
+    when the row so far is short, as on Z2 + Z128).
 
     >>> addition_row((4, 2), 5)
     (5, 6, 7, 4, 1, 2, 3, 0)
@@ -213,7 +215,7 @@ def addition_row(factors, z: int) -> tuple[int, ...]:
         if p == 1:
             row = tuple(rotated)
         else:
-            row = tuple(chain.from_iterable(map(k.__add__, row) for k in rotated))
+            row = tuple([k + r for k in rotated for r in row])
         p *= d
     return row
 
@@ -224,7 +226,9 @@ def element_orders(factors) -> list[int]:
 
     Built one factor at a time, without calling ``element_order``: the
     element x0 + p*c, with p the order of the factors so far, has order
-    lcm(orders[x0], d / gcd(d, c)).
+    lcm(orders[x0], d / gcd(d, c)). Against the starting list [1] that
+    column d / gcd(d, c) is already the order list, so the first factor
+    takes no lcm pass.
 
     >>> element_orders((2, 3))
     [1, 2, 3, 6, 3, 6]
@@ -232,7 +236,10 @@ def element_orders(factors) -> list[int]:
     orders = [1]
     for d in factors:
         col = [d // math.gcd(d, c) for c in range(d)]
-        orders = [math.lcm(a, o) for a in col for o in orders]
+        if len(orders) == 1:
+            orders = col
+        else:
+            orders = [math.lcm(a, o) for a in col for o in orders]
     return orders
 
 
@@ -244,8 +251,15 @@ def homomorphism_map(factors, images) -> tuple[int, ...]:
 
     Built one generator e_i of order d at a time, without calling
     ``add``: with p the order of the span of e_1, ..., e_(i-1), the
-    element h + c*p (h < p, c < d) goes to u[h] + c*y_i, each block the
-    one before it shifted by y_i through the addition row of y_i.
+    element h + c*p (h < p, c < d) goes to u[h] + c*y_i, read along the
+    addition row of y_i. When p < d, as for the largest factor of a
+    cyclic or nearly cyclic group, each of the p runs u[h], u[h] + y_i,
+    ... is walked along the row and written with stride p: d - 1 passes
+    over blocks that short would cost more in per-pass overhead than in
+    lookups. Otherwise each block of p images is the one before it
+    mapped through the row. The span search fills its cosets the same
+    way in code of its own (see ``iter_embeddings``), so that the two
+    stay independent.
 
     >>> homomorphism_map((2, 4), (1, 3))
     (0, 1, 3, 2, 4, 5, 7, 6)
@@ -254,11 +268,22 @@ def homomorphism_map(factors, images) -> tuple[int, ...]:
     """
     u = [0]
     for d, y in zip(factors, images):
-        shift = addition_row(factors, y).__getitem__
-        block = u
-        for _ in range(1, d):
-            block = list(map(shift, block))
-            u.extend(block)
+        row = addition_row(factors, y)
+        p = len(u)
+        if p < d:
+            runs = [0] * (p * d)
+            for h, x in enumerate(u):
+                run = [x]
+                for _ in range(1, d):
+                    x = row[x]
+                    run.append(x)
+                runs[h::p] = run
+            u = runs
+        else:
+            block = u
+            for _ in range(1, d):
+                block = list(map(row.__getitem__, block))
+                u.extend(block)
     return tuple(u)
 
 
@@ -280,8 +305,14 @@ def iter_embeddings(factors, candidates, translate):
     c*y = -phi(h) lies in H, and for c = 0 only if h = 0. A candidate
     inside H is skipped before its row is built; otherwise the multiples
     c*y are read along the one row of y, and an accepted candidate writes
-    its cosets H + c*y block by block, block c being block c-1 mapped
-    through that row.
+    its cosets H + c*y along that row. When the span is smaller than d,
+    as at the first level of a largest-factor-first search, each element
+    phi(h) of H starts a run phi(h), phi(h) + y, ... that is walked along
+    the row and written with stride span, since d - 1 passes over blocks
+    that short would cost more in per-pass overhead than in lookups;
+    otherwise block c of the new span is block c-1 mapped through the
+    row. ``homomorphism_map`` fills the same way in code of its own, so
+    the validating constructor shares nothing with this search.
     """
     last = len(factors) - 1
     if last < 0:
@@ -304,10 +335,18 @@ def iter_embeddings(factors, candidates, translate):
                 if cy in inside:
                     break
             else:
-                block = head
-                for c in range(1, d):
-                    block = list(map(row.__getitem__, block))
-                    emap[c * span:(c + 1) * span] = block
+                if span < d:
+                    for h, x in enumerate(head):
+                        run = [x]
+                        for _ in range(1, d):
+                            x = row[x]
+                            run.append(x)
+                        emap[h:span * d:span] = run
+                else:
+                    block = head
+                    for c in range(1, d):
+                        block = list(map(row.__getitem__, block))
+                        emap[c * span:(c + 1) * span] = block
                 images.append(y)
                 if level == last:
                     yield tuple(images), tuple(emap)

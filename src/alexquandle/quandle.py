@@ -57,10 +57,11 @@ class IsoWitness:
 def alexander_table(module: LambdaModule) -> QuandleTable:
     """The Cayley table of x ^ y = t(x) + (1 - t)(y).
 
-    Built the way ``homomorphism_map`` builds a map, one standard
-    generator e of order d at a time: row 0 is 1 - t, and row x + e is
-    row x shifted by t(e), so the next d - 1 blocks of rows are each the
-    block before mapped through the addition row of t(e).
+    Built in blocks of rows, one standard generator e of order d at a
+    time: row 0 is 1 - t, and row x + e is row x shifted by t(e), so the
+    next d - 1 blocks of rows are each the block before mapped through
+    the addition row of t(e). Each step maps whole rows, so the blocks
+    are never too short to pay for their pass.
 
     >>> from alexquandle.lambda_module import linear_module
     >>> alexander_table(linear_module(3, 2)).rows

@@ -34,6 +34,7 @@ from alexquandle.abelian import (
     invariant_factors_from_element_orders,
     is_prime,
     iter_automorphisms,
+    iter_embeddings,
 )
 
 
@@ -221,6 +222,108 @@ def test_homomorphism_map_matches_mixed_radix_arithmetic():
                     with pytest.raises(ValueError, match="^induced endomorphism is not a bijection$"):
                         GroupAutomorphism(g, images)
     assert kinds == {True, False}
+
+
+def mixed_radix_scale(factors, c: int, y: int) -> int:
+    """c*y digit by digit: each coordinate of y times c, reduced mod its factor."""
+    out, p = 0, 1
+    for d in factors:
+        out += ((y % d) * c % d) * p
+        y //= d
+        p *= d
+    return out
+
+
+def mixed_radix_order(factors, x: int) -> int:
+    """The additive order of x, by adding x to itself until 0."""
+    k, y = 1, x
+    while y != 0:
+        y = mixed_radix_add(factors, y, x)
+        k += 1
+    return k
+
+
+# Factor sequences of order 54..256 with factors up to 256. With p the
+# order of the factors before a factor d, homomorphism_map fills by runs
+# where p < d (every first factor, the 128 of (2, 128)) and by blocks where
+# p >= d (the second 16 of (16, 16), every later 2 of (2,)*8, the 2 of
+# (64, 2), the 3 of (2, 9, 3)), so both fills run here.
+LARGE_SHAPES = [
+    (256,), (2, 128), (4, 64), (2, 2, 64), (3, 81), (16, 16), (2,) * 8,
+    (64, 2), (2, 9, 3),  # not divisibility chains
+]
+
+
+@pytest.mark.parametrize("factors", LARGE_SHAPES)
+def test_kernels_match_mixed_radix_arithmetic_on_large_shapes(factors):
+    """addition_row, element_orders and homomorphism_map against
+    digit-by-digit arithmetic: sampled rows, every element's order, and
+    the standard and four random well-defined images."""
+    rng = random.Random(27)
+    n = math.prod(factors)
+    for z in [0, 1, n - 1] + rng.sample(range(n), 8):
+        assert addition_row(factors, z) == tuple(
+            mixed_radix_add(factors, z, x) for x in range(n)
+        ), z
+    orders = [mixed_radix_order(factors, x) for x in range(n)]
+    assert element_orders(factors) == orders
+    prefix = [math.prod(factors[:i]) for i in range(len(factors))]
+    allowed = [[y for y in range(n) if d % orders[y] == 0] for d in factors]
+    for images in [tuple(prefix), *(tuple(map(rng.choice, allowed)) for _ in range(4))]:
+        emap = homomorphism_map(factors, images)
+        assert len(emap) == n
+        for x in range(n):
+            y = 0
+            for i, (d, img) in enumerate(zip(factors, images)):
+                c = x // prefix[i] % d
+                y = mixed_radix_add(factors, y, mixed_radix_scale(factors, c, img))
+            assert emap[x] == y, (images, x)
+
+
+def brute_embeddings(factors, target, candidates):
+    """Every injective map x = sum of c_i e_i -> sum of c_i y_i over the
+    tuples of candidate images, in product order, built digit by digit."""
+    n = math.prod(factors)
+    coords = [
+        [x // math.prod(factors[:i]) % d for i, d in enumerate(factors)]
+        for x in range(n)
+    ]
+    out = []
+    for images in itertools.product(*candidates):
+        emap = []
+        for cs in coords:
+            y = 0
+            for c, img in zip(cs, images):
+                y = mixed_radix_add(target, y, mixed_radix_scale(target, c, img))
+            emap.append(y)
+        if len(set(emap)) == n:
+            out.append((images, tuple(emap)))
+    return out
+
+
+@pytest.mark.parametrize("factors, target", [
+    ((8, 2), (2, 8)),
+    ((9, 3), (3, 9)),
+    ((4, 2, 2), (2, 2, 4)),
+    ((4, 2), (2, 2, 4)),
+    ((2, 8), (2, 8)),
+])
+def test_iter_embeddings_matches_brute_force_in_order(factors, target):
+    """iter_embeddings yields exactly the injective maps of the brute-force
+    reference, in its order, with candidates in a shuffled order, on
+    domains whose span is below the next factor at some levels and not at
+    others; the translations are rows of the digit-by-digit sum."""
+    rng = random.Random(27)
+    n = math.prod(target)
+    rows = [tuple(mixed_radix_add(target, z, x) for x in range(n)) for z in range(n)]
+    candidates = []
+    for d in factors:
+        cand = [y for y in range(n) if d % mixed_radix_order(target, y) == 0]
+        rng.shuffle(cand)
+        candidates.append(cand)
+    expected = brute_embeddings(factors, target, candidates)
+    assert expected
+    assert list(iter_embeddings(factors, candidates, rows.__getitem__)) == expected
 
 
 def test_element_order_brute():

@@ -9,6 +9,7 @@ certificate: equal keys exactly when a t-commuting isomorphism exists.
 """
 
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -423,6 +424,52 @@ def test_module_construction_never_calls_mixed_radix_add(monkeypatch):
 
     monkeypatch.setattr(AbelianGroup, "add", forbidden)
     assert build() == expected
+
+
+_PINNED_COORDINATE_DESCRIPTORS = [
+    ("linear", 64, 5),
+    ("linear", 128, 127),
+    ("linear", 200, 3),
+    ("linear", 243, 2),
+    ("linear", 256, 3),
+    ("poly", 4, (1, 2, 3, 1)),
+    ("poly", 2, (1, 1, 0, 0, 0, 0, 0, 1)),
+    ("poly", 15, (2, 1, 1)),
+    ("poly", 16, (3, 1, 1)),
+    ("sum", (("linear", 2, 1), ("linear", 128, 3))),
+    ("sum", (("linear", 2, 1), ("linear", 128, 5))),
+    ("sum", (("linear", 4, 3), ("linear", 64, 5))),
+    ("sum", (("linear", 2, 1), ("linear", 2, 1), ("linear", 64, 3))),
+    ("sum", (("linear", 3, 2), ("linear", 81, 2))),
+    ("sum", (("linear", 16, 3), ("linear", 16, 5))),
+    ("sum", (("poly", 2, (1, 1, 1)), ("linear", 64, 3))),
+    ("sum", (("linear", 8, 3), ("poly", 2, (1, 1, 0, 1)), ("linear", 4, 1))),
+    ("pair", (4, 64), ((1, 16), (1, 3))),
+    ("pair", (4, 64), ((3, 0), (2, 5))),
+    ("pair", (2, 2, 64), ((0, 1, 0), (1, 1, 32), (1, 0, 3))),
+]
+
+
+def test_recoordinatized_coordinates_are_pinned():
+    """The canonical coordinates that recoordinatization picks, pinned by
+    digest on modules of order 64-256: each Im(1-t)'s from_abstract and
+    t images, and each module's own t images, which for a sum are the
+    ones direct_sum chose. Any change to the row, order or fill kernels
+    must keep the bases the span search picks, and with them every
+    coordinate and witness built on them."""
+    out = []
+    for desc in _PINNED_COORDINATE_DESCRIPTORS:
+        m = module_from_descriptor(desc)
+        sub = image_one_minus_t(m)
+        out.append((
+            m.group.invariant_factors,
+            m.t_action.generator_images,
+            sub.as_module.group.invariant_factors,
+            sub.as_module.t_action.generator_images,
+            sub.from_abstract,
+        ))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "ca84ea9bb7f169d6fabcc35c51bda1417fe2a18498cad4adb73c07e465c65d5c"
 
 
 def test_recoordinatize_searches_once(monkeypatch):
