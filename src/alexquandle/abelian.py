@@ -180,14 +180,6 @@ class AbelianGroup:
             p *= d
         return out
 
-    def element_order(self, x: int) -> int:
-        order = 1
-        for d in self.invariant_factors:
-            c = x % d
-            order = math.lcm(order, d // math.gcd(d, c))
-            x //= d
-        return order
-
 
 def addition_row(factors, z: int) -> tuple[int, ...]:
     """Row z of the addition table of Z_d1 + ... + Z_dk, ``row[x]`` = z + x,
@@ -224,8 +216,8 @@ def element_orders(factors) -> list[int]:
     """The additive order of every element of Z_d1 + ... + Z_dk, indexed
     like ``addition_row``; the factors need not form a divisibility chain.
 
-    Built one factor at a time, without calling ``element_order``: the
-    element x0 + p*c, with p the order of the factors so far, has order
+    The library's one element-order kernel, built one factor at a time:
+    the element x0 + p*c, with p the order of the factors so far, has order
     lcm(orders[x0], d / gcd(d, c)). Against the starting list [1] that
     column d / gcd(d, c) is already the order list, so the first factor
     takes no lcm pass.
@@ -246,8 +238,12 @@ def element_orders(factors) -> list[int]:
 def homomorphism_map(factors, images) -> tuple[int, ...]:
     """The element map of the additive map of Z_d1 + ... + Z_dk into
     itself that sends the i-th standard generator to ``images[i]``,
-    indexed like ``addition_row``. Each image must have order dividing
-    its d_i, or the map is not well defined; it need not be injective.
+    indexed like ``addition_row``. The map need not be injective, but it
+    must be well defined: image by image, in generator order, an image
+    outside the group raises ValueError before its row is read, and one
+    whose order does not divide its d_i raises ValueError once its
+    cosets are filled, when d_i*y_i, one lookup past (d_i - 1)*y_i, is
+    not 0. Only that error reads the order, from ``element_orders``.
 
     Built one generator e_i of order d at a time, without calling
     ``add``: with p the order of the span of e_1, ..., e_(i-1), the
@@ -267,7 +263,10 @@ def homomorphism_map(factors, images) -> tuple[int, ...]:
     (0, 2, 0, 2)
     """
     u = [0]
+    n = math.prod(factors)
     for d, y in zip(factors, images):
+        if not 0 <= y < n:
+            raise ValueError(f"generator image {y} out of range")
         row = addition_row(factors, y)
         p = len(u)
         if p < d:
@@ -284,6 +283,11 @@ def homomorphism_map(factors, images) -> tuple[int, ...]:
             for _ in range(1, d):
                 block = list(map(row.__getitem__, block))
                 u.extend(block)
+        if row[u[(d - 1) * p]]:  # d*y, the image of d*e_i = 0
+            raise ValueError(
+                f"image of an order-{d} generator has order "
+                f"{element_orders(factors)[y]}; the map is not well defined"
+            )
     return tuple(u)
 
 
@@ -361,12 +365,13 @@ def iter_embeddings(factors, candidates, translate):
 class GroupAutomorphism:
     """An automorphism, stored by its images of the standard generators.
 
-    The public constructor validates: it checks well-definedness (the
-    image of an order-d generator must have order dividing d), builds the
-    full element map with ``homomorphism_map``, the kernel that also
-    builds a module's 1 - t, and checks that its image is the whole
-    group. Parsed input and ``pair`` descriptors go through it, and the
-    tests hold the span search's maps against it.
+    The public constructor validates: it checks that there is one image
+    per generator, builds the full element map with ``homomorphism_map``,
+    the kernel that also builds a module's 1 - t and that refuses an
+    image out of range or of an order not dividing its generator's, and
+    checks that the map's image is the whole group. Parsed input and
+    ``pair`` descriptors go through it, and the tests hold the span
+    search's maps against it.
 
     ``iter_automorphisms`` and the recoordinatization of Im(1-t) and
     direct sums build through the trusted ``_trusted`` path instead, which
@@ -390,14 +395,6 @@ class GroupAutomorphism:
         facs = g.invariant_factors
         if len(images) != len(facs):
             raise ValueError("need one generator image per invariant factor")
-        for d, y in zip(facs, images):
-            if not 0 <= y < g.order:
-                raise ValueError(f"generator image {y} out of range")
-            if d % g.element_order(y):
-                raise ValueError(
-                    f"image of an order-{d} generator has order "
-                    f"{g.element_order(y)}; the map is not well defined"
-                )
         element_map = homomorphism_map(facs, images)
         if len(set(element_map)) != g.order:
             raise ValueError("induced endomorphism is not a bijection")

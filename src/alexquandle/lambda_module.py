@@ -31,6 +31,7 @@ from .abelian import (
     _monic_irreducibles,
     addition_row,
     element_orders,
+    factorize,
     homomorphism_map,
     invariant_factors_from_element_orders,
     is_prime,
@@ -591,15 +592,18 @@ def _t_generator_search(m: LambdaModule, n: LambdaModule):
 
 
 def _integer_roots(order: int):
-    """(base, degree) pairs with base**degree == order, degree >= 2."""
-    out = []
-    for degree in range(2, order.bit_length() + 1):
-        base = 2
-        while base ** degree <= order:
-            if base ** degree == order:
-                out.append((base, degree))
-            base += 1
-    return out
+    """(base, degree) pairs with base**degree == order, degree >= 2, by
+    ascending degree. Read off the factorization: order is a degree-th
+    power exactly when degree divides the gcd g of its prime exponents
+    (g = 0 for order 1, which has no such pair).
+    """
+    exponents = factorize(order)
+    g = math.gcd(*exponents.values())
+    return [
+        (math.prod(p ** (e // degree) for p, e in exponents.items()), degree)
+        for degree in range(2, g + 1)
+        if g % degree == 0
+    ]
 
 
 def _atomic_descriptors(order: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from operator import eq, itemgetter
+from operator import itemgetter
 
 from .abelian import addition_row
 from .lambda_module import (
@@ -172,8 +172,10 @@ def is_quandle_iso(t1: QuandleTable, t2: QuandleTable, mapping) -> bool:
 
 
 def _element_profiles(table: QuandleTable):
-    """Per element e: (orbit size, fixed points of y -> y ^ e, number of y
-    with e ^ y = e, cycle type of y -> y ^ e), each kept by isomorphisms.
+    """Per element e: (orbit size, number of y with e ^ y = e, cycle type
+    of y -> y ^ e), each kept by isomorphisms. The fixed points of
+    y -> y ^ e are the 1-cycles of that cycle type, so they are not
+    counted apart.
 
     Every right translation is an automorphism (axiom ii), so the profile
     is constant on each orbit; it is read once, at the orbit's smallest
@@ -185,7 +187,6 @@ def _element_profiles(table: QuandleTable):
     for orb in orbits(table):
         e = orb[0]
         col = [row[e] for row in rows]  # the right translation by e
-        col_fix = sum(map(eq, col, range(n)))
         row_fix = rows[e].count(e)
         seen = [False] * n
         lengths = []
@@ -198,7 +199,7 @@ def _element_profiles(table: QuandleTable):
                 ln += 1
                 x = col[x]
             lengths.append(ln)
-        profile = (len(orb), col_fix, row_fix, tuple(sorted(lengths)))
+        profile = (len(orb), row_fix, tuple(sorted(lengths)))
         for x in orb:
             profiles[x] = profile
     return profiles
@@ -207,7 +208,7 @@ def _element_profiles(table: QuandleTable):
 def brute_iso(t1: QuandleTable, t2: QuandleTable):
     """Search for a table isomorphism directly; IsoWitness or None.
 
-    Elements are matched by local profile (orbit size, fixed counts,
+    Elements are matched by local profile (orbit size, row fixed points,
     translation cycle type) before backtracking. Each choice forces the
     images of all it generates, which prunes only branches holding no
     isomorphism. Equal tables short-circuit to the identity.

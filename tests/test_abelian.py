@@ -15,6 +15,7 @@ group of order at most 32.
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -198,13 +199,18 @@ def test_homomorphism_map_matches_mixed_radix_arithmetic():
     """homomorphism_map against x = sum of c_i e_i going to sum of c_i y_i,
     summed digit by digit, on random well-defined images for every group
     of order at most 32; the validating constructor accepts exactly the
-    maps that are bijective, with the message it has always given."""
+    maps that are bijective, with the message it has always given. Images
+    drawn from the whole group are refused by homomorphism_map itself
+    when an image's order does not divide its generator's, naming the
+    first such generator and its image's order."""
     rng = random.Random(24)
     kinds = set()
+    refused_at = set()
     for n in range(1, 33):
         for g in abelian_groups_of_order(n):
             facs = g.invariant_factors
-            allowed = [[y for y in range(n) if d % g.element_order(y) == 0] for d in facs]
+            orders = [mixed_radix_order(facs, y) for y in range(n)]
+            allowed = [[y for y in range(n) if d % orders[y] == 0] for d in facs]
             for _ in range(10):
                 images = tuple(map(rng.choice, allowed))
                 emap = homomorphism_map(facs, images)
@@ -221,7 +227,23 @@ def test_homomorphism_map_matches_mixed_radix_arithmetic():
                 else:
                     with pytest.raises(ValueError, match="^induced endomorphism is not a bijection$"):
                         GroupAutomorphism(g, images)
+            for _ in range(5):
+                images = tuple(rng.randrange(n) for _ in facs)
+                bad = [i for i, (d, y) in enumerate(zip(facs, images)) if d % orders[y]]
+                if not bad:
+                    continue
+                i = bad[0]
+                refused_at.add(i)
+                message = (
+                    f"image of an order-{facs[i]} generator has order "
+                    f"{orders[images[i]]}; the map is not well defined"
+                )
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    homomorphism_map(facs, images)
     assert kinds == {True, False}
+    # the largest factor is the group's exponent, so only an earlier
+    # generator can be refused; both the first and a later one are
+    assert refused_at == {0, 1}
 
 
 def mixed_radix_scale(factors, c: int, y: int) -> int:
@@ -326,23 +348,11 @@ def test_iter_embeddings_matches_brute_force_in_order(factors, target):
     assert list(iter_embeddings(factors, candidates, rows.__getitem__)) == expected
 
 
-def test_element_order_brute():
-    for factors in [(8,), (2, 4), (3, 3), (2, 6)]:
-        g = AbelianGroup(factors)
-        for x in range(g.order):
-            acc = x
-            k = 1
-            while acc != 0:
-                acc = g.add(acc, x)
-                k += 1
-            assert g.element_order(x) == k
-
-
 def test_generator_indices():
     g = AbelianGroup((2, 4))
     gens = g.generator_indices()
     assert len(gens) == 2
-    assert [g.element_order(e) for e in gens] == [2, 4]
+    assert [mixed_radix_order(g.invariant_factors, e) for e in gens] == [2, 4]
     # every element is a combination of the generators
     span = {0}
     for d, e in zip(g.invariant_factors, gens):
@@ -351,16 +361,26 @@ def test_generator_indices():
 
 
 def test_automorphism_rejects_bad_images():
+    """Each bad image tuple is refused with its exact message. Images are
+    checked generator by generator, range before order, and bijectivity
+    after all of them, so a tuple with several faults reports the first."""
     g = AbelianGroup((2, 4))
     gens = g.generator_indices()
-    order4 = next(x for x in range(g.order) if g.element_order(x) == 4)
-    with pytest.raises(ValueError):
-        # order-2 generator cannot map to an order-4 element
-        GroupAutomorphism(g, (order4, gens[1]))
-    with pytest.raises(ValueError):
-        GroupAutomorphism(g, (0, gens[1]))  # not injective
-    with pytest.raises(ValueError):
-        GroupAutomorphism(g, (gens[0],))  # wrong arity
+    order4 = next(x for x in range(g.order) if mixed_radix_order(g.invariant_factors, x) == 4)
+    ill_defined = "image of an order-2 generator has order 4; the map is not well defined"
+    not_bijective = "induced endomorphism is not a bijection"
+    for images, message in [
+        ((order4, gens[1]), ill_defined),  # an order-2 generator to an order-4 element
+        ((2, 99), ill_defined),  # e_1's order fault comes before e_2's range fault
+        ((99, 2), "generator image 99 out of range"),
+        ((2, 1), ill_defined),
+        ((-1, 1), "generator image -1 out of range"),
+        ((0, gens[1]), not_bijective),
+        ((1, 0), not_bijective),
+        ((gens[0],), "need one generator image per invariant factor"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GroupAutomorphism(g, images)
 
 
 def test_automorphism_is_additive():
@@ -475,7 +495,7 @@ def test_generating_set_rejects_non_closed():
 def test_invariant_factors_from_element_orders_roundtrip():
     for n in range(1, 37):
         for g in abelian_groups_of_order(n):
-            orders = [g.element_order(x) for x in range(g.order)]
+            orders = [mixed_radix_order(g.invariant_factors, x) for x in range(g.order)]
             recovered = invariant_factors_from_element_orders(orders)
             assert recovered == g.invariant_factors, g
 

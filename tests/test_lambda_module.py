@@ -49,6 +49,7 @@ from alexquandle.lambda_module import (
 from alexquandle.classify import enumerate_structures
 from alexquandle.quandle import construct_quandle_iso, theorem1_iso
 from alexquandle.linear import n_cap
+from test_abelian import mixed_radix_order
 
 
 _AUT_MAPS: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -675,7 +676,7 @@ def greedy_t_generators(m: LambdaModule, pool=None) -> tuple[int, ...]:
     generators.
     """
     size = m.order
-    orders = [m.group.element_order(x) for x in range(size)]
+    orders = [mixed_radix_order(m.group.invariant_factors, x) for x in range(size)]
 
     t = m.t_action.element_map
 
@@ -784,6 +785,23 @@ def test_named_candidates_order_8():
         assert m.order == 8
         rebuilt = module_from_descriptor(d)
         assert lambda_iso(m, rebuilt) is not None
+
+
+def test_integer_roots_match_a_search_over_bases_and_degrees():
+    """_integer_roots reads the roots off the factorization; here every
+    power base**degree <= 5,000 with base, degree >= 2 is listed by trying
+    each base and degree, and each order gets its pairs by ascending
+    degree."""
+    limit = 5000
+    expected: dict[int, list[tuple[int, int]]] = {n: [] for n in range(1, limit + 1)}
+    for degree in range(2, limit.bit_length() + 1):
+        base = 2
+        while base ** degree <= limit:
+            expected[base ** degree].append((base, degree))
+            base += 1
+    assert expected[64] == [(8, 2), (4, 3), (2, 6)]
+    for n in range(1, limit + 1):
+        assert lambda_module._integer_roots(n) == expected[n], n
 
 
 def test_primary_part_examples():

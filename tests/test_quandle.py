@@ -169,7 +169,9 @@ def union_find_orbits(table):
 
 
 def nested_loop_profiles(table):
-    """Element profiles read one cell at a time."""
+    """Element profiles read one cell at a time; the fixed points of
+    y -> y ^ e, counted here on their own, are the 1-cycles of its cycle
+    type, which is why the library's profile leaves them out."""
     rows = table.rows
     n = table.order
     orbit_size = [0] * n
@@ -191,7 +193,8 @@ def nested_loop_profiles(table):
                 ln += 1
                 x = rows[x][e]
             lengths.append(ln)
-        profiles.append((orbit_size[e], col_fix, row_fix, tuple(sorted(lengths))))
+        assert col_fix == lengths.count(1), (e, col_fix, lengths)
+        profiles.append((orbit_size[e], row_fix, tuple(sorted(lengths))))
     return profiles
 
 
