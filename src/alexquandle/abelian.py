@@ -83,8 +83,10 @@ def invariant_factors_from_element_orders(orders) -> tuple[int, ...]:
     """Recover invariant factors from the multiset of all element orders.
 
     The multiset of element orders determines a finite abelian group up to
-    isomorphism; this inverts that correspondence. Raises ValueError if the
-    statistics do not belong to any abelian group.
+    isomorphism; this inverts that correspondence. ``orders`` is the
+    orders themselves, or a mapping from each order to its count (as
+    ``Counter`` takes either). Raises ValueError if the statistics do not
+    belong to any abelian group.
     """
     counts = Counter(orders)
     n = sum(counts.values())
@@ -248,14 +250,14 @@ def homomorphism_map(factors, images) -> tuple[int, ...]:
     Built one generator e_i of order d at a time, without calling
     ``add``: with p the order of the span of e_1, ..., e_(i-1), the
     element h + c*p (h < p, c < d) goes to u[h] + c*y_i, read along the
-    addition row of y_i. When p < d, as for the largest factor of a
-    cyclic or nearly cyclic group, each of the p runs u[h], u[h] + y_i,
-    ... is walked along the row and written with stride p: d - 1 passes
-    over blocks that short would cost more in per-pass overhead than in
-    lookups. Otherwise each block of p images is the one before it
-    mapped through the row. The span search fills its cosets the same
-    way in code of its own (see ``iter_embeddings``), so that the two
-    stay independent.
+    addition row of y_i. When p <= d, as for the largest factor of a
+    cyclic or nearly cyclic group or the second factor of Z_d + Z_d,
+    each of the p runs u[h], u[h] + y_i, ... is walked along the row and
+    written with stride p: d - 1 passes over blocks no longer than d
+    would cost more in per-pass overhead than in lookups. Otherwise each
+    block of p images is the one before it mapped through the row. The
+    span search fills its cosets the same way in code of its own (see
+    ``iter_embeddings``), so that the two stay independent.
 
     >>> homomorphism_map((2, 4), (1, 3))
     (0, 1, 3, 2, 4, 5, 7, 6)
@@ -269,7 +271,7 @@ def homomorphism_map(factors, images) -> tuple[int, ...]:
             raise ValueError(f"generator image {y} out of range")
         row = addition_row(factors, y)
         p = len(u)
-        if p < d:
+        if p <= d:
             runs = [0] * (p * d)
             for h, x in enumerate(u):
                 run = [x]
@@ -309,14 +311,16 @@ def iter_embeddings(factors, candidates, translate):
     c*y = -phi(h) lies in H, and for c = 0 only if h = 0. A candidate
     inside H is skipped before its row is built; otherwise the multiples
     c*y are read along the one row of y, and an accepted candidate writes
-    its cosets H + c*y along that row. When the span is smaller than d,
-    as at the first level of a largest-factor-first search, each element
+    its cosets H + c*y along that row. When the span is at most d, as at
+    the first level of a largest-factor-first search, each element
     phi(h) of H starts a run phi(h), phi(h) + y, ... that is walked along
     the row and written with stride span, since d - 1 passes over blocks
-    that short would cost more in per-pass overhead than in lookups;
-    otherwise block c of the new span is block c-1 mapped through the
-    row. ``homomorphism_map`` fills the same way in code of its own, so
-    the validating constructor shares nothing with this search.
+    that short would cost more in per-pass overhead than in lookups; the
+    run of phi(0) = 0 is the walk of the multiples the check made, so it
+    is kept from there and not walked again. Otherwise block c of the
+    new span is block c-1 mapped through the row. ``homomorphism_map``
+    fills the same way in code of its own, so the validating constructor
+    shares nothing with this search.
     """
     last = len(factors) - 1
     if last < 0:
@@ -333,14 +337,18 @@ def iter_embeddings(factors, candidates, translate):
             if y in inside:
                 continue
             row = translate(y)
+            run = [0, y]  # c*y for c = 0..d-1, the run of phi(0) = 0
             cy = y
-            for _ in range(2, d):  # c*y for c = 2..d-1
+            for _ in range(2, d):
                 cy = row[cy]
                 if cy in inside:
                     break
+                run.append(cy)
             else:
-                if span < d:
-                    for h, x in enumerate(head):
+                if span <= d:
+                    emap[0:span * d:span] = run
+                    for h in range(1, span):
+                        x = head[h]
                         run = [x]
                         for _ in range(1, d):
                             x = row[x]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain, combinations_with_replacement, product
 
 from .abelian import (
@@ -215,48 +215,41 @@ def module_from_polynomial(p: Polynomial) -> LambdaModule:
     return LambdaModule(GroupAutomorphism(group, tuple(images)))
 
 
-def _recoordinatize(members, factors, t_map):
-    """Express the subgroup ``members`` of a finite abelian group in canonical form.
+def _basis(members, factors):
+    """The basis search of ``_recoordinatize``: (target, from_abstract) for
+    the ascending member list ``members`` of Z_d1 + ... + Z_dk over
+    ``factors``, target being the members' invariant factors and
+    from_abstract[i] the member with abstract index i. It reads only the
+    members and the factors, never t.
 
-    members must contain 0 as the identity and be closed under addition
-    and under t. They always are, being the image of 1 - t or a whole
-    direct sum, so a violation is a bug of ours and raises RuntimeError
-    (the CLI's internal error). The group is Z_d1 + ... + Z_dk over
-    ``factors``, indexed mixed-radix as ``addition_row`` indexes it (the
-    factors need not form a divisibility chain), and ``t_map`` is the
-    element map of t there.
-    Rows and additive orders are read from the factors, so nothing here
-    adds. Returns (module, from_abstract) where module has invariant-factor
-    coordinates and from_abstract[i] is the member with abstract index i.
-
-    One ``iter_embeddings`` search picks a basis, largest factor first
-    (smallest first would backtrack, e.g. on Z2+Z4 when the order-2 pick
-    lies in the cyclic part), and its map, indexed with the factors
-    reversed, is read in target order by a mixed-radix digit reversal.
-    That map is injective and additive, and its image is checked to be
-    the member set, so from_abstract is an additive bijection onto a
-    t-invariant set. The transported t, i -> to_abstract[t(from_abstract[i])],
-    is therefore additive and bijective, an automorphism, and is wrapped
-    by ``GroupAutomorphism._trusted`` without validation.
+    One pass puts each member into a list by its order, ascending. The
+    list sizes are the order statistics that give the target, and for a
+    basis element of Z_d the candidates are the members of order exactly
+    d (its order in the group and relative to the span of the basis
+    elements chosen before it). One ``iter_embeddings`` search picks a
+    basis, largest factor first (smallest first would backtrack, e.g. on
+    Z2+Z4 when the order-2 pick lies in the cyclic part), and its map,
+    indexed with the factors reversed, is read in target order by a
+    mixed-radix digit reversal. That map is injective with len(members)
+    entries, so it is onto the member set exactly when every entry is a
+    member.
     """
-    members = sorted(members)
-    if members[0] != 0:
-        raise RuntimeError("internal: identity element 0 missing from member set")
     not_closed = "internal: member set is not closed under the given addition"
-
     # a member's order in the subgroup is its order in the whole group
     orders = element_orders(factors)
+    by_order: dict[int, list[int]] = {}
+    for x in members:
+        by_order.setdefault(orders[x], []).append(x)
     try:
-        target = invariant_factors_from_element_orders(map(orders.__getitem__, members))
+        target = invariant_factors_from_element_orders(
+            {o: len(xs) for o, xs in by_order.items()}
+        )
     except ValueError:  # no abelian group has these orders
         raise RuntimeError(not_closed) from None
     desc = tuple(reversed(target))
-
-    # a basis element for Z_d has order exactly d, both in the group and
-    # relative to the span of the basis elements chosen before it
-    cand = [tuple(g for g in members if orders[g] == d) for d in desc]
+    cand = [by_order.get(d, ()) for d in desc]
     found = next(iter_embeddings(desc, cand, partial(addition_row, factors)), None)
-    if found is None or set(found[1]) != set(members):
+    if found is None or not set(members).issuperset(found[1]):
         raise RuntimeError(not_closed)
 
     # the element with target coordinates (c1, ..., ck) has desc
@@ -265,10 +258,55 @@ def _recoordinatize(members, factors, t_map):
     for d in target:
         weight //= d
         perm = [p + c * weight for c in range(d) for p in perm]
-    from_abstract = tuple(map(found[1].__getitem__, perm))
+    return target, tuple(map(found[1].__getitem__, perm))
 
-    to_abstract = {x: i for i, x in enumerate(from_abstract)}
-    t_abstract = tuple(to_abstract[t_map[x]] for x in from_abstract)
+
+@cache
+def _whole_group_basis(factors):
+    """``_basis`` of every element of the group over the factor tuple.
+
+    The package's one process-wide memo: a whole group's basis depends
+    on its factors alone, and every direct sum step, and every Im(1-t)
+    whose 1 - t is onto, asks for one. An entry holds a factor tuple and
+    |G| ints, no module and no t.
+    """
+    return _basis(range(math.prod(factors)), factors)
+
+
+def _recoordinatize(members, factors, t_map):
+    """Express the subgroup ``members`` of a finite abelian group in canonical form.
+
+    members must contain 0 as the identity and be closed under addition
+    and under t. They always are, being the image of 1 - t or a whole
+    direct sum, so a violation is a bug of ours and raises RuntimeError
+    (the CLI's internal error). The group is Z_d1 + ... + Z_dk over the
+    tuple ``factors``, indexed mixed-radix as ``addition_row`` indexes it
+    (the factors need not form a divisibility chain), and ``t_map`` is
+    the element map of t there.
+    Rows and additive orders are read from the factors, so nothing here
+    adds. Returns (module, from_abstract) where module has invariant-factor
+    coordinates and from_abstract[i] is the member with abstract index i.
+
+    The basis comes from one ``_basis`` search. A member set as large
+    as the group is the whole group, whose basis depends on the factors
+    alone, so it is taken from the memo ``_whole_group_basis`` and
+    searched once per factor tuple; a proper member set is searched on
+    every call. Either way from_abstract is an additive bijection onto a
+    t-invariant set. The transported t, i -> to_abstract[t(from_abstract[i])],
+    built on each call, is therefore additive and bijective, an
+    automorphism, and is wrapped by ``GroupAutomorphism._trusted``
+    without validation.
+    """
+    if len(members) == len(t_map):
+        target, from_abstract = _whole_group_basis(factors)
+    else:
+        members = sorted(members)
+        if members[0] != 0:
+            raise RuntimeError("internal: identity element 0 missing from member set")
+        target, from_abstract = _basis(members, factors)
+
+    to_abstract = dict(zip(from_abstract, range(len(from_abstract))))
+    t_abstract = tuple(map(to_abstract.__getitem__, map(t_map.__getitem__, from_abstract)))
     group = AbelianGroup(target)
     t_images = tuple(t_abstract[e] for e in group.generator_indices())
     taut = GroupAutomorphism._trusted(group, t_images, t_abstract)
@@ -286,7 +324,9 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
     Adding m2 to m1, the pair (a, b) has index a + |m1|*b, mixed-radix
     over m1's factors followed by m2's. That sequence need not be a
     divisibility chain, but ``_recoordinatize`` takes any factor
-    sequence.
+    sequence. Each partial sum is a whole group, so its basis is
+    searched once per factor sequence and memoised; only t is carried
+    over on each call.
 
     >>> direct_sum(linear_module(2, 1), linear_module(3, 2), linear_module(2, 1)).group
     AbelianGroup(invariant_factors=(2, 6))
@@ -322,6 +362,9 @@ def image_one_minus_t(module: LambdaModule) -> Submodule:
 
     The members are the values of the module's ``one_minus_t_map``; the
     Submodule keeps them only as the image of its ``from_abstract``.
+    When 1 - t is onto, the members are the whole group, whose basis
+    ``_recoordinatize`` takes from its memo per factor tuple; a proper
+    image is searched on every call.
     (1-t)^2 M is the image of the abstract copy's own 1 - t, read back
     into M through this submodule's ``from_abstract``.
     """

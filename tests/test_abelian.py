@@ -267,9 +267,9 @@ def mixed_radix_order(factors, x: int) -> int:
 
 # Factor sequences of order 54..256 with factors up to 256. With p the
 # order of the factors before a factor d, homomorphism_map fills by runs
-# where p < d (every first factor, the 128 of (2, 128)) and by blocks where
-# p >= d (the second 16 of (16, 16), every later 2 of (2,)*8, the 2 of
-# (64, 2), the 3 of (2, 9, 3)), so both fills run here.
+# where p <= d (every first factor, the 128 of (2, 128), the second 16 of
+# (16, 16), the second 2 of (2,)*8) and by blocks where p > d (every later
+# 2 of (2,)*8, the 2 of (64, 2), the 3 of (2, 9, 3)), so both fills run here.
 LARGE_SHAPES = [
     (256,), (2, 128), (4, 64), (2, 2, 64), (3, 81), (16, 16), (2,) * 8,
     (64, 2), (2, 9, 3),  # not divisibility chains

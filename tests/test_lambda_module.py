@@ -474,9 +474,11 @@ def test_recoordinatized_coordinates_are_pinned():
 
 
 def test_recoordinatize_searches_once(monkeypatch):
-    """A recoordinatization runs exactly one iter_embeddings search, on a
-    trivial member set too; the basis is indexed and t transported
-    without another."""
+    """A recoordinatization runs at most one iter_embeddings search: a
+    proper member set, the trivial one too, runs exactly one, and whole
+    groups run one per distinct factor tuple, whose basis is memoised
+    after it; the basis is indexed and t transported without another."""
+    lambda_module._whole_group_basis.cache_clear()
     searches = []
     iter_embeddings = lambda_module.iter_embeddings
 
@@ -487,10 +489,11 @@ def test_recoordinatize_searches_once(monkeypatch):
     per_call = []
     recoordinatize = lambda_module._recoordinatize
 
-    def recording(members, *rest):
+    def recording(members, factors, t_map):
         before = len(searches)
-        out = recoordinatize(members, *rest)
-        per_call.append((len(members), len(searches) - before))
+        out = recoordinatize(members, factors, t_map)
+        whole = len(members) == len(t_map)
+        per_call.append((len(members), whole, factors, len(searches) - before))
         return out
 
     monkeypatch.setattr(lambda_module, "iter_embeddings", counting)
@@ -499,9 +502,61 @@ def test_recoordinatize_searches_once(monkeypatch):
         image_one_minus_t(image_one_minus_t(m).as_module)
     for m1, m2 in itertools.combinations_with_replacement(_direct_sum_atoms(), 2):
         direct_sum(m1, m2)
-    assert sum(size > 1 for size, _ in per_call) > 300
-    assert any(size == 1 for size, _ in per_call)
-    assert all(count == 1 for _, count in per_call)
+    assert sum(size > 1 for size, *_ in per_call) > 300
+    assert any(size == 1 and not whole for size, whole, *_ in per_call)
+    assert all(count <= 1 for *_, count in per_call)
+    assert all(count == 1 for _, whole, _, count in per_call if not whole)
+    whole_calls = [(factors, count) for _, whole, factors, count in per_call if whole]
+    shapes = {factors for factors, _ in whole_calls}
+    assert sum(count for _, count in whole_calls) == len(shapes)
+    assert len(whole_calls) > 2 * len(shapes)  # the memo is hit
+
+
+def test_whole_group_bases_hold_no_t(monkeypatch):
+    """The memoised basis of every whole group met by direct sums of atom
+    pairs and triples and by the onto 1 - t of every structure of order
+    1..12 equals a fresh search, and two sums with one factor sequence
+    and different t each carry their own t: each is isomorphic, by a
+    witness checked with mixed-radix add, to the pair module built by
+    the validating constructor from its own t and to no other."""
+    lambda_module._whole_group_basis.cache_clear()
+    whole = []
+    recoordinatize = lambda_module._recoordinatize
+
+    def recording(members, factors, t_map):
+        if len(members) == len(t_map):
+            whole.append(factors)
+        return recoordinatize(members, factors, t_map)
+
+    monkeypatch.setattr(lambda_module, "_recoordinatize", recording)
+    atoms = _direct_sum_atoms()
+    for k, bound in ((2, 72), (3, 64)):
+        for pieces in itertools.combinations_with_replacement(atoms, k):
+            if math.prod(m.order for m in pieces) <= bound:
+                direct_sum(*pieces)
+    from_sums = len(whole)
+    for n in range(1, 13):
+        for m in enumerate_structures(n):
+            image_one_minus_t(m)
+    shapes = set(whole)
+    assert {(2, 4), (2, 2, 4), (3, 3), (4, 8)} <= shapes
+    assert from_sums > 0 and len(whole) > from_sums  # both kinds of whole group
+    for factors in shapes:
+        fresh = lambda_module._basis(range(math.prod(factors)), factors)
+        assert lambda_module._whole_group_basis(factors) == fresh
+
+    specs = [("linear", 2, 1), ("linear", 4, 1)], [("linear", 2, 1), ("linear", 4, 3)]
+    sums = [module_from_descriptor(("sum", tuple(pieces))) for pieces in specs]
+    # Z2 + Z4 with t = (1, a) on its standard generators
+    pairs = [module_from_descriptor(("pair", (2, 4), ((1, 0), (0, a)))) for a in (1, 3)]
+    assert sums[0].group == sums[1].group
+    assert sums[0].t_action.element_map != sums[1].t_action.element_map
+    for i, s in enumerate(sums):
+        assert_t_action_validates(s)
+        w = brute_lambda_iso(s, pairs[i])
+        assert w is not None
+        assert_valid_witness(s, pairs[i], w)
+        assert brute_lambda_iso(s, pairs[1 - i]) is None
 
 
 def test_recoordinatize_faults_are_internal():
