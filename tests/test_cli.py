@@ -5,6 +5,7 @@ together so each documented code keeps its meaning.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -570,6 +571,101 @@ def test_parse_spec_returns_module_or_table(tmp_path):
     path.write_text("0 1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         parse_spec(f"table:@{path}")  # 1 x 2 is not square
+
+
+def _transcript_calls():
+    """Every argv the pinned transcript runs: each subcommand with each
+    format and flag, over every kind of spec, order and predicate."""
+    specs = [
+        "linear:9:4", "linear:5:2", "poly:2:1,1,1", "sum:linear:2:1+linear:3:2",
+        "0", "pair:3,9:2,0;1,2", "pair:@p.json", "table:@t.json", "table:@t.txt",
+        "table:@bad_i.txt", "table:@bad_ii.txt", "linear:6:3", "linear:1_0:3",
+    ]
+    calls = []
+    for spec in specs:
+        calls += [["build", spec], ["axioms", spec], ["dual", spec]]
+        for cmd in ("build", "dual"):
+            calls += [[cmd, spec, "--format", f] for f in ("text", "json")]
+        calls += [["orbits", spec]] + [["orbits", spec, "--format", f] for f in ("text", "json")]
+        for flags in ([], ["--identify"], ["--power", "2"], ["--power", "2", "--identify"]):
+            calls += [["im1t", spec, *flags, "--format", f] for f in ("text", "json")]
+    calls += [
+        ["build", "linear:5:2", "-o", "out.json"],
+        ["dual", "linear:5:2", "-o", "out.txt", "--format", "text"],
+        ["build", "linear:5:2", "-o", "no/such/dir"],
+        ["im1t", "linear:8:5"],
+    ]
+    pairs = [
+        ("linear:9:4", "linear:9:7"), ("linear:9:4", "linear:9:2"),
+        ("pair:@p.json", "linear:8:5"), ("poly:3:1,1,1", "linear:9:4"),
+        ("table:@t.json", "table:@t.txt"), ("0", "table:@t.json"),
+        ("linear:6:3", "linear:9:4"), ("linear:9:4", "poly:3:1,,1"),
+    ]
+    for left, right in pairs:
+        for method in ([], ["--method", "theorem1"], ["--method", "brute"], ["--method", "both"]):
+            calls += [["iso", left, right, *method], ["iso", left, right, *method, "--witness"]]
+    for order in ("0", "1", "4", "8", "12", "15", "-3", "16"):
+        for flags in ([], ["--connected-only"]):
+            calls += [["classify", *flags, "--", order]]
+            for f in ("text", "json", "csv"):
+                calls += [["classify", *flags, "--format", f, "--", order]]
+    calls += [["table1"]] + [["table1", "--format", f] for f in ("text", "json")]
+    calls += [["table2"]]
+    for top in ("1", "2", "9", "15", "16"):
+        calls += [["table2", "--max", top, "--format", f] for f in ("text", "json", "csv")]
+    for args in ("9 4 7", "9 4 2", "8 2 3", "5 2 3", "7 3 5"):
+        calls += [["linear", "iso", *args.split()], ["linear", "dual", *args.split()]]
+    for args in ("5 2", "12 1", "6 3", "9 4", "5 4", "7 3"):
+        calls += [["linear", name, *args.split()] for name in ("connected", "selfdual", "ncap")]
+    return calls
+
+
+def test_cli_transcript_is_pinned(capsys, monkeypatch, tmp_path):
+    # every report, message and exit code of the CLI, byte for byte; run
+    # from tmp_path so that no absolute path enters a message
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QUANDLE_MAX_ORDER", raising=False)
+    (tmp_path / "p.json").write_text(
+        '{"invariant_factors": [2, 4], "t_generator_images": [[1, 0], [1, 1]]}'
+    )
+    (tmp_path / "t.json").write_text('{"order": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}')
+    (tmp_path / "t.txt").write_text("0 2 1\n2 1 0\n1 0 2\n")
+    (tmp_path / "bad_i.txt").write_text("1 0\n1 0\n")
+    (tmp_path / "bad_ii.txt").write_text("0 1\n0 1\n")
+    transcript = []
+    for argv in _transcript_calls():
+        code = main(argv)
+        transcript.append((argv, code, *capsys.readouterr()))
+    transcript.append([(tmp_path / name).read_text() for name in ("out.json", "out.txt")])
+    monkeypatch.setenv("QUANDLE_MAX_ORDER", "16")
+    argv = ["classify", "16", "--format", "csv"]
+    code = main(argv)
+    transcript.append((argv, code, *capsys.readouterr()))
+    assert transcript[-1][2].count('"') == 2 * 17
+    digest = hashlib.md5(repr(transcript).encode()).hexdigest()
+    assert (len(transcript), digest) == (415, "157cc9fd9240f6e89f30f8c6c9036cd5")
+
+
+def test_parser_interface_is_pinned():
+    # every action of the top parser, each subcommand and each linear
+    # predicate, in order; --help text differs between Python versions,
+    # these fields do not
+    def describe(parser, name):
+        for a in parser._actions:
+            choices = None if a.choices is None else list(a.choices)
+            yield name, (
+                a.option_strings, a.dest, a.nargs, choices, a.default, a.required,
+                a.help, a.metavar, getattr(a.type, "__name__", None),
+            )
+            if isinstance(a.choices, dict):
+                yield name, [(c.dest, c.help) for c in a._choices_actions]
+                for sub, p in a.choices.items():
+                    yield from describe(p, f"{name} {sub}")
+
+    interface = list(describe(cli._build_parser(), "alexquandle"))
+    actions = sum(isinstance(fields, tuple) for _, fields in interface)
+    digest = hashlib.md5(repr(interface).encode()).hexdigest()
+    assert (actions, digest) == (53, "333bcc0e4a319e5b03fb48c9113e2467")
 
 
 def run_into_closing_reader(argv, unbuffered, read):
