@@ -12,6 +12,10 @@ Module specs:
     table:@file         a raw table, JSON {"order": n, "table": [[...]]} or
                         whitespace-separated rows
 
+Each report command (orbits, im1t, classify, table1, table2) builds one
+record and _print_report prints it in the --format asked for: JSON, CSV
+rows or text lines.
+
 Exit codes: 0 predicate true / success, 1 predicate false or axiom failure,
 2 malformed spec or usage, 3 invalid input values, 4 internal error,
 including disagreement between deciders, 141 (128 + SIGPIPE) when the
@@ -269,15 +273,24 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _cmd_orbits(args) -> int:
-    table = _as_table(parse_spec(args.spec))
-    orbs = orbits(table)
+def _print_report(args, data, text, rows=()) -> None:
+    """Print one report in args.format: data as JSON, rows as CSV, or the
+    text lines."""
     if args.format == "json":
-        print(json.dumps({"orbits": orbs, "connected": len(orbs) == 1}))
+        print(json.dumps(data))
+    elif args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
-        for orb in orbs:
-            print(" ".join(str(x) for x in orb))
-        print(f"connected: {'true' if len(orbs) == 1 else 'false'}")
+        for line in text:
+            print(line)
+
+
+def _cmd_orbits(args) -> int:
+    orbs = orbits(_as_table(parse_spec(args.spec)))
+    connected = len(orbs) == 1
+    text = [" ".join(map(str, orb)) for orb in orbs]
+    text.append(f"connected: {'true' if connected else 'false'}")
+    _print_report(args, {"orbits": orbs, "connected": connected}, text)
     return 0
 
 
@@ -292,37 +305,38 @@ def _cmd_im1t(args) -> int:
         inner = image_one_minus_t(abstract)
         members = sorted(map(sub.from_abstract.__getitem__, inner.from_abstract))
         abstract = inner.as_module
-    info = {
-        "members": members,
-        "invariant_factors": list(abstract.group.invariant_factors),
-    }
+    factors = list(abstract.group.invariant_factors)
+    info = {"members": members, "invariant_factors": factors}
+    text = [
+        "members: " + " ".join(map(str, members)),
+        "group: " + (",".join(map(str, factors)) or "1"),
+    ]
     if args.identify:
         desc = identify_as_quotient(abstract)
         info["identified"] = None if desc is None else descriptor_str(desc)
-    if args.format == "json":
-        print(json.dumps(info))
-    else:
-        print("members:", " ".join(str(x) for x in members))
-        print("group:", ",".join(str(d) for d in info["invariant_factors"]) or "1")
-        if args.identify:
-            print("identified:", info["identified"] or "none")
+        text.append(f"identified: {info['identified'] or 'none'}")
+    _print_report(args, info, text)
     return 0
 
 
+# each linear subcommand's function and the positionals it takes
+_LINEAR = {
+    "iso": (linear_iso, ("n", "a", "b")),
+    "connected": (linear_connected, ("n", "a")),
+    "dual": (linear_dual, ("n", "a", "b")),
+    "selfdual": (linear_self_dual, ("n", "a")),
+    "ncap": (n_cap, ("n", "a")),
+}
+
+
 def _cmd_linear(args) -> int:
+    function, params = _LINEAR[args.linear_cmd]
+    value = function(*(getattr(args, name) for name in params))
     if args.linear_cmd == "ncap":
-        print(n_cap(args.n, args.a))
+        print(value)
         return 0
-    if args.linear_cmd == "iso":
-        verdict = linear_iso(args.n, args.a, args.b)
-    elif args.linear_cmd == "connected":
-        verdict = linear_connected(args.n, args.a)
-    elif args.linear_cmd == "dual":
-        verdict = linear_dual(args.n, args.a, args.b)
-    else:
-        verdict = linear_self_dual(args.n, args.a)
-    print("true" if verdict else "false")
-    return 0 if verdict else 1
+    print("true" if value else "false")
+    return 0 if value else 1
 
 
 def _check_guard(n: int) -> None:
@@ -339,80 +353,36 @@ def _check_guard(n: int) -> None:
 
 def _cmd_classify(args) -> int:
     _check_guard(args.order)
-    report = classify_order(args.order)
-    classes = [c for c in report.classes if c.connected or not args.connected_only]
-    if args.format == "json":
-        data = report.to_json_dict()
-        if args.connected_only:
-            data["classes"] = [c for c in data["classes"] if c["connected"]]
-        print(json.dumps(data))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["representative", "connected", "class_size_in_enumeration"])
-        for c in classes:
-            writer.writerow(
-                [
-                    descriptor_str(c.representative),
-                    str(c.connected).lower(),
-                    c.class_size_in_enumeration,
-                ]
-            )
-    else:
-        print(
-            f"order {report.order}: {report.distinct_count} distinct, "
-            f"{report.connected_count} connected"
-        )
-        for c in classes:
-            flag = "connected" if c.connected else "not connected"
-            print(
-                f"  {descriptor_str(c.representative):<40} {flag:<14} "
-                f"size {c.class_size_in_enumeration}"
-            )
+    data = classify_order(args.order).to_json_dict()
+    if args.connected_only:
+        data["classes"] = [c for c in data["classes"] if c["connected"]]
+    text = [f"order {data['order']}: {data['distinct']} distinct, {data['connected']} connected"]
+    rows = [["representative", "connected", "class_size_in_enumeration"]]
+    for c in data["classes"]:
+        rep, size = c["representative"], c["class_size_in_enumeration"]
+        flag = "connected" if c["connected"] else "not connected"
+        text.append(f"  {rep:<40} {flag:<14} size {size}")
+        rows.append([rep, "true" if c["connected"] else "false", size])
+    _print_report(args, data, text, rows)
     return 0
 
 
 def _cmd_table1(args) -> int:
-    rows = table1_report()
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "group": list(group),
-                        "module": descriptor_str(desc),
-                        "image": descriptor_str(img),
-                    }
-                    for group, desc, img in rows
-                ]
-            )
-        )
-    else:
-        for group, desc, img in rows:
-            label = "+".join(f"Z{d}" for d in group)
-            print(f"{label:<10} {descriptor_str(desc):<44} -> {descriptor_str(img)}")
+    data, text = [], []
+    for group, desc, img in table1_report():
+        module, image = descriptor_str(desc), descriptor_str(img)
+        data.append({"group": list(group), "module": module, "image": image})
+        label = "+".join(f"Z{d}" for d in group)
+        text.append(f"{label:<10} {module:<44} -> {image}")
+    _print_report(args, data, text)
     return 0
 
 
 def _cmd_table2(args) -> int:
     _check_guard(args.max)
-    rows = count_table(args.max)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"order": n, "distinct": d, "connected": c}
-                    for n, d, c in rows
-                ]
-            )
-        )
-    elif args.format == "csv":
-        print("n,distinct,connected")
-        for n, d, c in rows:
-            print(f"{n},{d},{c}")
-    else:
-        print(f"{'n':>3} {'distinct':>9} {'connected':>10}")
-        for n, d, c in rows:
-            print(f"{n:>3} {d:>9} {c:>10}")
+    rows = [("n", "distinct", "connected"), *count_table(args.max)]
+    data = [{"order": n, "distinct": d, "connected": c} for n, d, c in rows[1:]]
+    _print_report(args, data, [f"{n:>3} {d:>9} {c:>10}" for n, d, c in rows], rows)
     return 0
 
 
@@ -426,80 +396,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, *, csv=False):
-        choices = ["text", "json"] + (["csv"] if csv else [])
-        p.add_argument("--format", choices=choices, default="text")
+    def command(name, func, *positionals, type=None, parent=sub, **kwargs):
+        """Add subcommand name, run by func, with its positionals."""
+        p = parent.add_parser(name, **kwargs)
+        for dest in positionals:
+            p.add_argument(dest, type=type)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("build", help="emit the Cayley table of a module spec")
-    p.add_argument("spec")
+    def add_format(p, *more, default="text"):
+        p.add_argument("--format", choices=["text", "json", *more], default=default)
+
+    p = command("build", _cmd_build, "spec", help="emit the Cayley table of a module spec")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.add_argument("--format", choices=["text", "json"], default="json")
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("axioms", help="check the quandle axioms")
-    p.add_argument("spec")
-    p.set_defaults(func=_cmd_axioms)
-
-    p = sub.add_parser("iso", help="decide isomorphism of two quandles")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument(
-        "--method", choices=["theorem1", "brute", "both"], default="theorem1"
-    )
-    p.add_argument(
-        "--witness", action="store_true", help="print an explicit bijection"
-    )
-    p.set_defaults(func=_cmd_iso)
-
-    p = sub.add_parser("dual", help="emit the dual table")
-    p.add_argument("spec")
+    add_format(p, default="json")
+    command("axioms", _cmd_axioms, "spec", help="check the quandle axioms")
+    p = command("iso", _cmd_iso, "left", "right", help="decide isomorphism of two quandles")
+    p.add_argument("--method", choices=["theorem1", "brute", "both"], default="theorem1")
+    p.add_argument("--witness", action="store_true", help="print an explicit bijection")
+    p = command("dual", _cmd_dual, "spec", help="emit the dual table")
     p.add_argument("-o", "--output")
-    p.add_argument("--format", choices=["text", "json"], default="json")
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("orbits", help="list orbits and connectivity")
-    p.add_argument("spec")
-    add_format(p)
-    p.set_defaults(func=_cmd_orbits)
-
-    p = sub.add_parser("im1t", help="the Im(1-t) submodule of a module spec")
-    p.add_argument("spec")
+    add_format(p, default="json")
+    add_format(command("orbits", _cmd_orbits, "spec", help="list orbits and connectivity"))
+    p = command("im1t", _cmd_im1t, "spec", help="the Im(1-t) submodule of a module spec")
     p.add_argument("--power", type=_integer, choices=[1, 2], default=1)
     p.add_argument("--identify", action="store_true")
     add_format(p)
-    p.set_defaults(func=_cmd_im1t)
-
     p = sub.add_parser("linear", help="closed-form linear quandle predicates")
     lsub = p.add_subparsers(dest="linear_cmd", required=True)
-    for name, nargs in (
-        ("iso", 3),
-        ("connected", 2),
-        ("dual", 3),
-        ("selfdual", 2),
-        ("ncap", 2),
-    ):
-        lp = lsub.add_parser(name)
-        lp.add_argument("n", type=_integer)
-        lp.add_argument("a", type=_integer)
-        if nargs == 3:
-            lp.add_argument("b", type=_integer)
-        lp.set_defaults(func=_cmd_linear)
-
-    p = sub.add_parser("classify", help="classify all quandles of one order")
-    p.add_argument("order", type=_integer)
+    for name, (_, params) in _LINEAR.items():
+        command(name, _cmd_linear, *params, type=_integer, parent=lsub)
+    p = command(
+        "classify", _cmd_classify, "order", type=_integer,
+        help="classify all quandles of one order",
+    )
     p.add_argument("--connected-only", action="store_true")
-    add_format(p, csv=True)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("table1", help="reference module/image identifications")
-    add_format(p)
-    p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("table2", help="distinct/connected counts per order")
+    add_format(p, "csv")
+    add_format(command("table1", _cmd_table1, help="reference module/image identifications"))
+    p = command("table2", _cmd_table2, help="distinct/connected counts per order")
     p.add_argument("--max", type=_integer, default=DEFAULT_MAX_ORDER)
-    add_format(p, csv=True)
-    p.set_defaults(func=_cmd_table2)
-
+    add_format(p, "csv")
     return parser
 
 
