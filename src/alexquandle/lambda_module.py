@@ -28,7 +28,7 @@ from itertools import chain, combinations_with_replacement, product
 from .abelian import (
     AbelianGroup,
     GroupAutomorphism,
-    _monic_irreducibles,
+    _poly_mul,
     addition_row,
     element_orders,
     factorize,
@@ -236,7 +236,7 @@ def _basis(members, factors):
     """
     not_closed = "internal: member set is not closed under the given addition"
     # a member's order in the subgroup is its order in the whole group
-    orders = element_orders(factors)
+    orders = _element_orders(factors)
     by_order: dict[int, list[int]] = {}
     for x in members:
         by_order.setdefault(orders[x], []).append(x)
@@ -262,13 +262,29 @@ def _basis(members, factors):
 
 
 @cache
+def _element_orders(factors):
+    """``element_orders`` of the factor tuple, as a tuple.
+
+    One of the package's two process-wide memos, both keyed by a factor
+    tuple alone and holding tuples only (this one and
+    ``_whole_group_basis``): every ``_basis`` search, a proper Im(1-t)'s
+    included, and every element profile reads a group's orders, which
+    depend on its factors alone. An entry holds a factor tuple and |G|
+    ints, no module and no t.
+    """
+    return tuple(element_orders(factors))
+
+
+@cache
 def _whole_group_basis(factors):
     """``_basis`` of every element of the group over the factor tuple.
 
-    The package's one process-wide memo: a whole group's basis depends
-    on its factors alone, and every direct sum step, and every Im(1-t)
-    whose 1 - t is onto, asks for one. An entry holds a factor tuple and
-    |G| ints, no module and no t.
+    One of the package's two process-wide memos, both keyed by a factor
+    tuple alone and holding tuples only (this one and
+    ``_element_orders``): a whole group's basis depends on its factors
+    alone, and every direct sum step, and every Im(1-t) whose 1 - t is
+    onto, asks for one. An entry holds a factor tuple and |G| ints, no
+    module and no t.
     """
     return _basis(range(math.prod(factors)), factors)
 
@@ -291,7 +307,9 @@ def _recoordinatize(members, factors, t_map):
     as the group is the whole group, whose basis depends on the factors
     alone, so it is taken from the memo ``_whole_group_basis`` and
     searched once per factor tuple; a proper member set is searched on
-    every call. Either way from_abstract is an additive bijection onto a
+    every call, reading the group's element orders from the memo
+    ``_element_orders``, so they too are built once per factor tuple.
+    Either way from_abstract is an additive bijection onto a
     t-invariant set. The transported t, i -> to_abstract[t(from_abstract[i])],
     built on each call, is therefore additive and bijective, an
     automorphism, and is wrapped by ``GroupAutomorphism._trusted``
@@ -403,19 +421,13 @@ def _orbit_lengths(perm) -> list[int]:
     return out
 
 
-def _element_profile(module: LambdaModule) -> tuple[list[int], list[int]]:
+def _element_profile(module: LambdaModule) -> tuple[tuple[int, ...], list[int]]:
     """The additive order and the t-orbit length of every element."""
     memo = module._memo
     if "profile" not in memo:
-        orders = element_orders(module.group.invariant_factors)
+        orders = _element_orders(module.group.invariant_factors)
         memo["profile"] = (orders, _orbit_lengths(module.t_action.element_map))
     return memo["profile"]
-
-
-def _mat_mul(a, b, p: int) -> list[list[int]]:
-    """The product of two square matrices over F_p."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
 
 
 def _rank(rows, p: int) -> int:
@@ -438,6 +450,91 @@ def _rank(rows, p: int) -> int:
     return rank
 
 
+def _minimal_relation(vectors, p: int) -> tuple[int, ...]:
+    """The ascending coefficients (c0, ..., c_{d-1}, 1) of the first
+    relation c0 v0 + ... + c_{d-1} v_{d-1} + v_d = 0 among the vectors
+    v0, v1, ... over F_p, d being the first index at which v_d depends on
+    the vectors before it; the vectors are read only up to v_d.
+
+    Given the powers I, T, T^2, ... of a matrix T, flattened, this is T's
+    minimal polynomial; over F_2, T = [[0, 1], [1, 1]] has T^2 = T + I:
+
+    >>> _minimal_relation([(1, 0, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)], 2)
+    (1, 1, 1)
+    """
+    # rows: (pivot column, vector with 1 there, the combination of
+    # v0, v1, ... it is), each reduced against the rows before it
+    rows = []
+    for d, v in enumerate(vectors):
+        v, combo = list(v), [0] * d + [1]
+        for col, row, row_combo in rows:
+            c = v[col]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, row)]
+                for i, y in enumerate(row_combo):
+                    combo[i] = (combo[i] - c * y) % p
+        col = next((i for i, x in enumerate(v) if x), None)
+        if col is None:
+            return tuple(combo)
+        inv = pow(v[col], -1, p)
+        rows.append((col, [x * inv % p for x in v], [x * inv % p for x in combo]))
+
+
+def _poly_divmod(a, f, p: int):
+    """Quotient and remainder of a by a monic f over F_p, coefficients
+    ascending; the remainder has deg f entries (fewer if a has), trailing
+    zeros kept.
+
+    >>> _poly_divmod((1, 0, 1), (1, 1), 2)
+    ((1, 1), (0,))
+    """
+    rem = list(a)
+    d = len(f) - 1
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + d]
+        if c:
+            quot[i] = c
+            for j, y in enumerate(f):
+                rem[i + j] = (rem[i + j] - c * y) % p
+    return tuple(quot), tuple(rem[:d])
+
+
+def _irreducible_factors(poly, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """(f, multiplicity) for each monic irreducible factor f of a monic
+    polynomial over F_p with nonzero constant term, in the order of
+    ``abelian._monic_irreducibles``: by degree, then by coefficients.
+
+    Trial division by every monic f with nonzero constant term in that
+    order, each divided out as often as it goes. The first divisor met is
+    of least degree, so irreducible, and once divided out no multiple of
+    it divides; so every divisor met is irreducible. Once deg f exceeds
+    half the degree of the rest, the rest has no smaller divisor, so it
+    is irreducible (or 1) and comes last.
+
+    >>> _irreducible_factors((1, 1, 1, 0, 0, 1), 2)  # (1 + t)^2 (1 + t + t^3)
+    [((1, 1), 2), ((1, 1, 0, 1), 1)]
+    """
+    out = []
+    rest = tuple(poly)
+    d = 1
+    while 2 * d <= len(rest) - 1:
+        for c0 in range(1, p):
+            for low in product(range(p), repeat=d - 1):
+                f = (c0, *low, 1)
+                quot, rem = _poly_divmod(rest, f, p)
+                mult = 0
+                while not any(rem):
+                    rest, mult = quot, mult + 1
+                    quot, rem = _poly_divmod(rest, f, p)
+                if mult:
+                    out.append((f, mult))
+        d += 1
+    if len(rest) > 1:
+        out.append((rest, 1))
+    return out
+
+
 def _rational_canonical_key(module: LambdaModule, p: int) -> tuple:
     """For each monic irreducible f != t over F_p that is not invertible on
     the F_p-space Z_p^k, the ranks of f(T), f(T)^2, ... up to the first
@@ -446,35 +543,38 @@ def _rational_canonical_key(module: LambdaModule, p: int) -> tuple:
     The nullity of f(T)^j minus that of f(T)^(j-1) is deg f times the
     number of parts >= j of the partition of f in the rational canonical
     form, so the ranks give the form and the form gives the module
-    (Macdonald, Symmetric Functions and Hall Polynomials, ch. IV).
+    (Macdonald, Symmetric Functions and Hall Polynomials, ch. IV). Only
+    the irreducible factors of T's minimal polynomial mu have nullity,
+    and f's multiplicity e there is its largest part, so the ranks of
+    f(T)^1..e are the ones that strictly fall. The minimal polynomial is
+    the first relation among the powers of T (``_minimal_relation``),
+    each read off t's element map: column i of T^j is t^j(e_i). Every
+    g(T) is then the combination of those powers with the coefficients
+    of g mod mu, so no matrix is multiplied.
     """
     g = module.group
+    t = module.t_action.element_map
     k = len(g.invariant_factors)
-    # column j of T is the coordinate vector of t(e_j)
-    t_mat = [list(r) for r in zip(*map(g.coords, module.t_action.generator_images))]
-    out = []
-    nullity = 0
-    for f in _monic_irreducibles(p, k):
-        # Horner from the leading 1: f(T) = (...(T + f_{d-1})T + ...)T + f_0
-        f_mat = [[int(i == j) for j in range(k)] for i in range(k)]
-        for c in reversed(f[:-1]):
-            f_mat = _mat_mul(f_mat, t_mat, p)
-            for i in range(k):
-                f_mat[i][i] = (f_mat[i][i] + c) % p
-        ranks = [_rank(f_mat, p)]
-        if ranks[0] == k:
-            continue
-        power = f_mat
+    columns = g.generator_indices()
+    powers = []  # powers[j] is T^j flattened, column by column
+
+    def flattened_powers():
+        cols = columns
         while True:
-            power = _mat_mul(power, f_mat, p)
-            r = _rank(power, p)
-            if r == ranks[-1]:
-                break
-            ranks.append(r)
+            powers.append(tuple(chain.from_iterable(map(g.coords, cols))))
+            yield powers[-1]
+            cols = tuple(map(t.__getitem__, cols))
+
+    mu = _minimal_relation(flattened_powers(), p)
+    out = []
+    for f, mult in _irreducible_factors(mu, p):
+        ranks = []
+        power = (1,)
+        for _ in range(mult):
+            power = _poly_divmod(_poly_mul(power, f, p), mu, p)[1]
+            flat = [sum(c * v[i] for c, v in zip(power, powers)) % p for i in range(k * k)]
+            ranks.append(_rank([flat[i:i + k] for i in range(0, k * k, k)], p))
         out.append((f, tuple(ranks)))
-        nullity += k - ranks[-1]
-        if nullity == k:  # every dimension is accounted for
-            break
     return tuple(out)
 
 
@@ -487,7 +587,9 @@ def module_certificate(module: LambdaModule) -> tuple:
     module) is keyed by its factors and the image of its generator under
     t, the unit t multiplies by. An elementary abelian Z_p^k is an
     F_p[t]-module, keyed by its factors and the ranks that fix its
-    rational canonical form (see ``_rational_canonical_key``). Every other
+    rational canonical form: those of f(T), f(T)^2, ... for each
+    irreducible factor f of t's minimal polynomial over F_p (see
+    ``_rational_canonical_key``). Every other
     group gets ``"invariants"``: its factors, the factors of Im(1-t),
     |Im(1-t)^2| and the sorted t-orbit lengths, which non-isomorphic
     modules may share. The two kinds never share factors, so a keyed
@@ -526,7 +628,9 @@ def lambda_iso(m: LambdaModule, n: LambdaModule):
     """An additive, t-commuting bijection m -> n as an index tuple, or None.
 
     Modules of different orders answer None, and equal modules get the
-    identity. Unequal ``module_certificate``s answer None at once; this
+    identity. Unequal groups answer None before either certificate is
+    built (a certificate carries the group's factors, so the answer is
+    the same), and so do unequal ``module_certificate``s; this
     settles every keyed pair that is not isomorphic, and equal keys on a
     cyclic (or trivial) group mean the modules are equal. Every other pair
     is decided by a search over t-module generators
@@ -538,6 +642,8 @@ def lambda_iso(m: LambdaModule, n: LambdaModule):
         return None
     if m == n:
         return tuple(range(m.order))
+    if m.group.invariant_factors != n.group.invariant_factors:
+        return None
     if module_certificate(m) != module_certificate(n):
         return None
     return _t_generator_search(m, n)

@@ -288,8 +288,15 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
 
 def _image_iso(m: LambdaModule, n: LambdaModule) -> dict[int, int] | None:
     """The map ``lambda_iso`` finds from the members of Im(1-t) in m onto
-    those in n, or None: unequal orders, or non-isomorphic submodules."""
+    those in n, or None: unequal orders, or non-isomorphic submodules.
+
+    |Im(1-t)|, the number of distinct values of ``one_minus_t_map``, is
+    compared first: submodules of unequal orders are not isomorphic, and
+    neither is built to learn it.
+    """
     if m.order != n.order:
+        return None
+    if len(set(m.one_minus_t_map)) != len(set(n.one_minus_t_map)):
         return None
     sub_m, sub_n = image_one_minus_t(m), image_one_minus_t(n)
     h = lambda_iso(sub_m.as_module, sub_n.as_module)
@@ -302,9 +309,11 @@ def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
     """Decide quandle isomorphism by comparing the Im(1-t) submodules.
 
     Equal-order modules give isomorphic quandles exactly when their
-    Im(1-t) submodules are isomorphic as t-modules. ``lambda_iso``
-    decides that: the submodules' certificates first, which settle every
-    keyed pair, then a search over t-module generators. The submodule map
+    Im(1-t) submodules are isomorphic as t-modules. Unequal |Im(1-t)|
+    answers False before either submodule is built; otherwise
+    ``lambda_iso`` decides: the submodules' groups and certificates
+    first, which settle every keyed pair, then a search over t-module
+    generators. The submodule map
     it finds, which ``construct_quandle_iso`` builds its witness from,
     need not be the first in any fixed order of all such maps.
     """

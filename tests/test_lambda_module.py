@@ -8,6 +8,7 @@ t-module generators that lambda_iso falls back on, which reads no
 certificate: equal keys exactly when a t-commuting isomorphism exists.
 """
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -21,12 +22,15 @@ from alexquandle import lambda_module
 from alexquandle.abelian import (
     AbelianGroup,
     GroupAutomorphism,
+    _monic_irreducibles,
     abelian_groups_of_order,
     addition_row,
     automorphism_classes,
     element_orders,
     enumerate_automorphisms,
     factorize,
+    gl_conjugacy_classes,
+    is_prime,
 )
 from alexquandle.lambda_module import (
     LambdaModule,
@@ -719,6 +723,120 @@ def test_isomorphism_key_decides_random_pairs(order, pairs):
         assert_key_decides(m, n)
         isomorphic += complete_key(m) == complete_key(n)
     assert pairs // 2 <= isomorphic < pairs
+
+
+@functools.cache
+def monic_irreducibles(p: int, k: int) -> tuple:
+    return tuple(_monic_irreducibles(p, k))
+
+
+def reference_rational_canonical_key(m: LambdaModule, p: int) -> tuple:
+    """Oracle for _rational_canonical_key: for every monic irreducible f != t
+    of degree <= k, in the order of _monic_irreducibles, f(T) by matrix
+    products, kept when singular with the ranks of its powers up to the
+    first that repeats, until the nullities add up to k."""
+    g = m.group
+    k = len(g.invariant_factors)
+
+    def mat_mul(a, b):
+        cols = list(zip(*b))
+        return [[sum(map(int.__mul__, row, col)) % p for col in cols] for row in a]
+
+    def rank(rows):
+        rows, r = [list(row) for row in rows], 0
+        for col in range(k):
+            pivot = next((i for i in range(r, k) if rows[i][col]), None)
+            if pivot is None:
+                continue
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            inv = pow(rows[r][col], -1, p)
+            rows[r] = [x * inv % p for x in rows[r]]
+            for i in range(k):
+                if i != r and rows[i][col]:
+                    c = rows[i][col]
+                    rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
+            r += 1
+        return r
+
+    # column j of T is the coordinate vector of t(e_j)
+    t_mat = [list(row) for row in zip(*map(g.coords, m.t_action.generator_images))]
+    out, nullity = [], 0
+    for f in monic_irreducibles(p, k):
+        f_mat = [[int(i == j) for j in range(k)] for i in range(k)]
+        for c in reversed(f[:-1]):  # Horner from the leading 1
+            f_mat = mat_mul(f_mat, t_mat)
+            for i in range(k):
+                f_mat[i][i] = (f_mat[i][i] + c) % p
+        ranks = [rank(f_mat)]
+        if ranks[0] == k:
+            continue
+        power = f_mat
+        while True:
+            power = mat_mul(power, f_mat)
+            r = rank(power)
+            if r == ranks[-1]:
+                break
+            ranks.append(r)
+        out.append((f, tuple(ranks)))
+        nullity += k - ranks[-1]
+        if nullity == k:
+            break
+    return tuple(out)
+
+
+def test_rational_canonical_key_matches_every_irreducible_up_to_256():
+    """The key built from T's minimal polynomial equals the oracle's on
+    one module per conjugacy class of GL_k(p), for every p^k <= 256."""
+    count = 0
+    for p in range(2, 257):
+        k = 1
+        while is_prime(p) and p**k <= 256:
+            for aut, _ in gl_conjugacy_classes(p, k):
+                m = LambdaModule(aut)
+                got = lambda_module._rational_canonical_key(m, p)
+                assert got == reference_rational_canonical_key(m, p), (p, k, got)
+                count += 1
+            k += 1
+    assert count == 7_322
+
+
+def test_rational_canonical_key_matches_on_seeded_modules():
+    """The same on seeded companion modules of degree k and on sums of
+    companion modules whose degrees add up to k, up to Z2^8, Z3^5, Z5^3
+    and Z7^3; the sums repeat factors, so their minimal polynomials
+    have lower degree than k."""
+    rng = random.Random(31)
+
+    def companion(p, d):
+        coeffs = (rng.randrange(1, p), *(rng.randrange(p) for _ in range(d - 1)), 1)
+        return module_from_polynomial(Polynomial(p, coeffs))
+
+    checked = 0
+    for p, top in ((2, 8), (3, 5), (5, 3), (7, 3)):
+        for k in range(2, top + 1):
+            for _ in range(12):
+                pieces, left = [], k
+                while left:
+                    d = rng.randint(1, left)
+                    pieces.append(companion(p, d))
+                    left -= d
+                for m in (companion(p, k), direct_sum(*pieces), direct_sum(*pieces, *pieces)):
+                    if m.order > p**top:
+                        continue
+                    q = m.group.invariant_factors[0]
+                    got = lambda_module._rational_canonical_key(m, q)
+                    assert got == reference_rational_canonical_key(m, q), (p, k, got)
+                    checked += 1
+    assert checked > 400
+
+
+def test_lambda_iso_screens_unequal_groups_before_certificates():
+    """Z_243 against Z3^5 is settled by their factors: neither
+    certificate is built, and neither is the Z3^5 rational key."""
+    m = linear_module(243, 185)
+    n = module_from_polynomial(Polynomial(3, (2, 1, 2, 2, 2, 1)))
+    assert lambda_iso(m, n) is None and lambda_iso(n, m) is None
+    assert "certificate" not in m._memo and "certificate" not in n._memo
 
 
 def greedy_t_generators(m: LambdaModule, pool=None) -> tuple[int, ...]:

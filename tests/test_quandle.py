@@ -334,6 +334,35 @@ def test_construct_iso_rejects_different_orders():
     assert construct_quandle_iso(linear_module(8, 3), linear_module(9, 4)) is None
 
 
+def test_unequal_image_orders_build_no_submodule():
+    """|Im(1-t)| is read off 1 - t before either Im(1-t) submodule is
+    built. The images have orders 3 and 9 on Z9 (t = 4, t = 2), 4 and 2
+    on Z8 (t = 3, t = 5), and 4 and 2 on Z2[t]/(1 + t + t^2) and Z4
+    (t = 3); the brute decider agrees that none is a quandle isomorphism."""
+    for m, n in (
+        (linear_module(9, 4), linear_module(9, 2)),
+        (linear_module(8, 3), linear_module(8, 5)),
+        (module_from_polynomial(Polynomial(2, (1, 1, 1))), linear_module(4, 3)),
+    ):
+        assert not theorem1_iso(m, n) and not theorem1_iso(n, m)
+        assert construct_quandle_iso(m, n) is None
+        assert brute_iso(alexander_table(m), alexander_table(n)) is None
+        assert "image" not in m._memo and "image" not in n._memo
+
+
+def test_theorem1_screens_unequal_image_groups_before_certificates():
+    """Z243 with t = 185 and Z3[t]/(2 + t + 2t^2 + 2t^3 + 2t^4 + t^5)
+    both have 1 - t onto, so their images are built, but the images'
+    factors differ and neither image's certificate is built."""
+    m = linear_module(243, 185)
+    n = module_from_polynomial(Polynomial(3, (2, 1, 2, 2, 2, 1)))
+    assert not theorem1_iso(m, n)
+    assert construct_quandle_iso(m, n) is None
+    images = image_one_minus_t(m).as_module, image_one_minus_t(n).as_module
+    assert [i.order for i in images] == [243, 243]
+    assert all("certificate" not in i._memo for i in images)
+
+
 def test_construct_iso_builds_verified_witness():
     m = linear_module(9, 4)
     n = linear_module(9, 7)
