@@ -171,64 +171,146 @@ def is_quandle_iso(t1: QuandleTable, t2: QuandleTable, mapping) -> bool:
     return True
 
 
-def _element_profiles(table: QuandleTable):
+def _element_profiles(table: QuandleTable, orbs: list[list[int]]):
     """Per element e: (orbit size, number of y with e ^ y = e, cycle type
     of y -> y ^ e), each kept by isomorphisms. The fixed points of
     y -> y ^ e are the 1-cycles of that cycle type, so they are not
     counted apart.
 
-    Every right translation is an automorphism (axiom ii), so the profile
-    is constant on each orbit; it is read once, at the orbit's smallest
-    element, and copied to the rest.
+    orbs are the table's orbits. Every right translation is an
+    automorphism (axiom ii), so the profile is constant on each orbit; it
+    is read once, at the orbit's smallest element, and copied to the
+    rest. Orbits whose smallest elements have the same column (the same
+    right translation) share one cycle walk.
     """
     rows = table.rows
     n = table.order
     profiles: list = [None] * n
-    for orb in orbits(table):
+    cycle_types: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for orb in orbs:
         e = orb[0]
-        col = [row[e] for row in rows]  # the right translation by e
-        row_fix = rows[e].count(e)
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            ln, x = 0, start
-            while not seen[x]:
-                seen[x] = True
-                ln += 1
-                x = col[x]
-            lengths.append(ln)
-        profile = (len(orb), row_fix, tuple(sorted(lengths)))
+        col = tuple([row[e] for row in rows])  # the right translation by e
+        lengths = cycle_types.get(col)
+        if lengths is None:
+            seen = [False] * n
+            walk = []
+            for start in range(n):
+                if seen[start]:
+                    continue
+                ln, x = 0, start
+                while not seen[x]:
+                    seen[x] = True
+                    ln += 1
+                    x = col[x]
+                walk.append(ln)
+            lengths = cycle_types[col] = tuple(sorted(walk))
+        profile = (len(orb), rows[e].count(e), lengths)
         for x in orb:
             profiles[x] = profile
     return profiles
 
 
+def _subquandle(table: QuandleTable, orb: list[int]) -> QuandleTable:
+    """The table of orb, an orbit and so closed under ^, with its elements
+    renumbered in ascending order."""
+    index = {x: i for i, x in enumerate(orb)}.__getitem__
+    pick = itemgetter(*orb)
+    return QuandleTable(tuple(tuple(map(index, pick(table.rows[x]))) for x in orb))
+
+
+def _orbit_colours(*tables) -> list[list[int]]:
+    """For each (table, orbits) given, the colour of every element: the
+    isomorphism type of its orbit's subquandle, shared by all the tables.
+
+    Types are numbered in order of first appearance, and a new orbit is
+    compared with one orbit of each type by ``brute_iso`` on the smaller
+    tables; equal orbit tables are compared once. The quandles of orders
+    1 and 2 are trivial, so orbits that small are coloured by size alone.
+    """
+    types: list[QuandleTable] = []
+    known: dict[tuple, int] = {}
+    out = []
+    for table, orbs in tables:
+        colours = [0] * table.order
+        for orb in orbs:
+            c = -len(orb)
+            if len(orb) > 2:
+                sub = _subquandle(table, orb)
+                c = known.get(sub.rows)
+                if c is None:
+                    c = next(
+                        (i for i, t in enumerate(types) if brute_iso(t, sub) is not None),
+                        len(types),
+                    )
+                    if c == len(types):
+                        types.append(sub)
+                    known[sub.rows] = c
+            for x in orb:
+                colours[x] = c
+        out.append(colours)
+    return out
+
+
+def _candidates(k1: list, k2: list) -> list[list[int]]:
+    """Per element x of t1, the elements of t2 with the key k1[x],
+    ascending; every key of t1 must be among those of t2."""
+    by_key: dict = {}
+    for u, k in enumerate(k2):
+        by_key.setdefault(k, []).append(u)
+    return [by_key[k] for k in k1]
+
+
 def brute_iso(t1: QuandleTable, t2: QuandleTable):
     """Search for a table isomorphism directly; IsoWitness or None.
 
-    Elements are matched by local profile (orbit size, row fixed points,
-    translation cycle type) before backtracking. Each choice forces the
-    images of all it generates, which prunes only branches holding no
-    isomorphism. Equal tables short-circuit to the identity.
+    Both tables must be quandles: the screens below rest on axiom ii,
+    under which every right translation is an automorphism.
+
+    Equal tables short-circuit to the identity. Then each screen refutes
+    only pairs that no isomorphism joins, cheapest first:
+    - the sorted counts of y with e ^ y = e;
+    - the sorted element profiles (orbit size, that count, and the cycle
+      type of y -> y ^ e);
+    - when t1 has more than one orbit, the sorted pairs of profile and
+      colour, an element's colour being the isomorphism type of its
+      orbit's subquandle, which an isomorphism carries onto its image's.
+    Each element x may go only to the elements of t2 with its profile and
+    colour. Elements are searched in ascending order of the number of
+    elements with their profile alone, ties by label, and each choice
+    forces the images of all it generates.
+
+    The first witness found is the one the search would find with
+    profiles alone, as the candidates dropped are exactly those that no
+    isomorphism extending the choices so far uses: a candidate of another
+    colour, and for the first element searched, x, any u in t2 above the
+    smallest member u0 of its orbit. For that last, u = u0 ^ y1 ^ ... ^ yk,
+    and the right translations of t2 are automorphisms, so an
+    isomorphism sending x to u composed with their inverses sends x to
+    u0; the search tries u0 before u, and either returns from it or
+    proves no isomorphism sends x into that orbit.
     """
     n = t1.order
     if t2.order != n:
         return None
-    if t1.rows == t2.rows:
-        return IsoWitness(tuple(range(n)))
-    p1, p2 = _element_profiles(t1), _element_profiles(t2)
-    if sorted(p1) != sorted(p2):
-        return None
-    # the elements of t2 with each profile, ascending; every profile of t1
-    # is among them since the sorted profiles agree
-    by_profile: dict[tuple, list[int]] = {}
-    for u, p in enumerate(p2):
-        by_profile.setdefault(p, []).append(u)
-    cand = [by_profile[p] for p in p1]
-    order = sorted(range(n), key=lambda x: (len(cand[x]), x))
     r1, r2 = t1.rows, t2.rows
+    if r1 == r2:
+        return IsoWitness(tuple(range(n)))
+    if sorted(map(tuple.count, r1, range(n))) != sorted(map(tuple.count, r2, range(n))):
+        return None
+    orbs1, orbs2 = orbits(t1), orbits(t2)
+    k1, k2 = _element_profiles(t1, orbs1), _element_profiles(t2, orbs2)
+    if sorted(k1) != sorted(k2):
+        return None
+    cand = _candidates(k1, k2)
+    order = sorted(range(n), key=lambda x: (len(cand[x]), x))
+    if len(orbs1) > 1:
+        c1, c2 = _orbit_colours((t1, orbs1), (t2, orbs2))
+        k1, k2 = list(zip(k1, c1)), list(zip(k2, c2))
+        if sorted(k1) != sorted(k2):
+            return None
+        cand = _candidates(k1, k2)
+    smallest = {orb[0] for orb in orbs2}
+    cand[order[0]] = [u for u in cand[order[0]] if u in smallest]
     # image[x] is the image of x once chosen or forced; known lists the
     # elements with an image, in the order they got it
     image = [-1] * n
@@ -247,7 +329,7 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
                 v = image[y]
                 for w, f in ((r1[e][y], r2[ue][v]), (r1[y][e], r2[v][ue])):
                     if image[w] == -1:
-                        if taken[f] or p2[f] != p1[w]:
+                        if taken[f] or k2[f] != k1[w]:
                             return False
                         image[w], taken[f] = f, True
                         known.append(w)
@@ -290,13 +372,14 @@ def _image_iso(m: LambdaModule, n: LambdaModule) -> dict[int, int] | None:
     """The map ``lambda_iso`` finds from the members of Im(1-t) in m onto
     those in n, or None: unequal orders, or non-isomorphic submodules.
 
-    |Im(1-t)|, the number of distinct values of ``one_minus_t_map``, is
-    compared first: submodules of unequal orders are not isomorphic, and
-    neither is built to learn it.
+    |ker(1-t)|, the number of zeros of ``one_minus_t_map``, is compared
+    first: m and n have equal orders, so their kernels have equal orders
+    exactly when their images do, and submodules of unequal orders are
+    not isomorphic; neither is built to learn it.
     """
     if m.order != n.order:
         return None
-    if len(set(m.one_minus_t_map)) != len(set(n.one_minus_t_map)):
+    if m.one_minus_t_map.count(0) != n.one_minus_t_map.count(0):
         return None
     sub_m, sub_n = image_one_minus_t(m), image_one_minus_t(n)
     h = lambda_iso(sub_m.as_module, sub_n.as_module)
@@ -309,8 +392,9 @@ def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
     """Decide quandle isomorphism by comparing the Im(1-t) submodules.
 
     Equal-order modules give isomorphic quandles exactly when their
-    Im(1-t) submodules are isomorphic as t-modules. Unequal |Im(1-t)|
-    answers False before either submodule is built; otherwise
+    Im(1-t) submodules are isomorphic as t-modules. Unequal |Im(1-t)|,
+    read as unequal |ker(1-t)|, answers False before either submodule is
+    built; otherwise
     ``lambda_iso`` decides: the submodules' groups and certificates
     first, which settle every keyed pair, then a search over t-module
     generators. The submodule map

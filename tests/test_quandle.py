@@ -28,7 +28,7 @@ from alexquandle.lambda_module import (
 )
 from alexquandle import quandle
 from alexquandle.classify import enumerate_structures
-from alexquandle.cli import main
+from alexquandle.cli import main, parse_spec
 from alexquandle.quandle import (
     QuandleTable,
     alexander_table,
@@ -205,7 +205,7 @@ def test_orbits_and_profiles_match_cell_by_cell_oracles():
             tab = alexander_table(m)
             for t in (tab, dual(tab)):
                 assert orbits(t) == union_find_orbits(t)
-                assert quandle._element_profiles(t) == nested_loop_profiles(t)
+                assert quandle._element_profiles(t, orbits(t)) == nested_loop_profiles(t)
                 checked += 1
     assert checked > 400
 
@@ -314,6 +314,113 @@ def test_brute_iso_needs_no_recursion_depth():
         sys.setrecursionlimit(limit)
     assert w is not None
     assert is_iso_oracle(tab, shuffled, w.map)
+
+
+def reference_brute_iso(t1, t2):
+    """The table search with profiles alone: no fixed-point screen, no
+    orbit colours, and every candidate of the first element searched.
+
+    Each element x may go to every element of t2 with its profile, in
+    ascending order; elements are searched in ascending order of their
+    number of candidates, ties by label, and each choice forces the images
+    of all it generates. Equal tables give the identity. Returns the
+    first map found, or None.
+    """
+    n = t1.order
+    if t2.order != n:
+        return None
+    if t1.rows == t2.rows:
+        return tuple(range(n))
+    p1, p2 = nested_loop_profiles(t1), nested_loop_profiles(t2)
+    if sorted(p1) != sorted(p2):
+        return None
+    cand = [[u for u in range(n) if p2[u] == p1[x]] for x in range(n)]
+    order = sorted(range(n), key=lambda x: (len(cand[x]), x))
+    r1, r2 = t1.rows, t2.rows
+
+    def close(image, x, u):
+        """image with x -> u and every forced product, or None on a clash"""
+        image = {**image, x: u}
+        used = set(image.values())
+        if len(used) < len(image):
+            return None
+        known = list(image)
+        i = 0
+        while i < len(known):
+            e = known[i]
+            for y in known[: i + 1]:
+                for w, f in (
+                    (r1[e][y], r2[image[e]][image[y]]),
+                    (r1[y][e], r2[image[y]][image[e]]),
+                ):
+                    if w not in image:
+                        if f in used or p2[f] != p1[w]:
+                            return None
+                        image[w] = f
+                        used.add(f)
+                        known.append(w)
+                    elif image[w] != f:
+                        return None
+            i += 1
+        return image
+
+    def search(image):
+        x = next((x for x in order if x not in image), None)
+        if x is None:
+            return tuple(image[y] for y in range(n))
+        for u in cand[x]:
+            grown = close(image, x, u)
+            found = grown and search(grown)
+            if found:
+                return found
+        return None
+
+    return search({})
+
+
+def test_brute_iso_finds_the_reference_search_first_witness():
+    """The screens, the orbit colours and the one first image per orbit
+    drop only candidates that no isomorphism uses, so the first map found
+    is the reference search's, on named tables, on seeded relabellings and
+    on duals of every order up to 12."""
+    rng = random.Random(32)
+    pairs = found = 0
+    for n in range(1, 13):
+        tabs = [alexander_table(m) for _, m in named_candidates(n)]
+        pool = list(tabs)
+        for tab in tabs:
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            pool += [relabel(tab, sigma), dual(tab)]
+        for t1 in pool:
+            for t2 in pool:
+                w = brute_iso(t1, t2)
+                want = reference_brute_iso(t1, t2)
+                assert (w and w.map) == want, (n, t1, t2)
+                pairs += 1
+                found += want is not None
+    assert (pairs, found) == (8217, 1467)
+
+
+def test_brute_iso_refutes_the_slow_pairs_and_keeps_true_isomorphisms():
+    """Ten orbits of linear:5:3 against ten of linear:5:2 (order 50), and
+    two connected linear quandles of prime order 47 with equal profiles,
+    are refuted; a relabelled copy of the order-50 table is still found,
+    so the orbit colours do not prune a true isomorphism."""
+    tab = alexander_table(parse_spec("pair:5,10:1,0;0,3"))
+    other = alexander_table(parse_spec("pair:5,10:1,0;0,7"))
+    assert len(orbits(tab)) == len(orbits(other)) == 10
+    assert brute_iso(tab, other) is None
+    t47 = alexander_table(linear_module(47, 5))
+    assert brute_iso(t47, alexander_table(linear_module(47, 10))) is None
+    rng = random.Random(50)
+    for _ in range(3):
+        sigma = list(range(50))
+        rng.shuffle(sigma)
+        shuffled = relabel(tab, sigma)
+        w = brute_iso(tab, shuffled)
+        assert w is not None and is_quandle_iso(tab, shuffled, w.map)
+        assert brute_iso(shuffled, other) is None
 
 
 def test_brute_iso_rejects_structurally_different_tables():
