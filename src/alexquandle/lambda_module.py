@@ -215,12 +215,23 @@ def module_from_polynomial(p: Polynomial) -> LambdaModule:
     return LambdaModule(GroupAutomorphism(group, tuple(images)))
 
 
+@cache
 def _basis(members, factors):
     """The basis search of ``_recoordinatize``: (target, from_abstract) for
-    the ascending member list ``members`` of Z_d1 + ... + Z_dk over
+    the members ``members``, ascending, of Z_d1 + ... + Z_dk over
     ``factors``, target being the members' invariant factors and
     from_abstract[i] the member with abstract index i. It reads only the
     members and the factors, never t.
+
+    One of the package's two process-wide memos, both holding tuples
+    only (this one and ``_element_orders``): a member set's basis depends
+    on the factor tuple and the member set alone, so each is searched
+    once. The key is the factor tuple and the members, ``range(|G|)``
+    for a whole group (every direct sum step, and every Im(1-t) whose
+    1 - t is onto) and a sorted tuple for a proper subgroup; an Im(1-t)
+    member set recurs whenever an isomorphic or relabelled module meets
+    it again. An entry holds the key, the target and one int per member,
+    no module and no t.
 
     One pass puts each member into a list by its order, ascending. The
     list sizes are the order statistics that give the target, and for a
@@ -265,28 +276,13 @@ def _basis(members, factors):
 def _element_orders(factors):
     """``element_orders`` of the factor tuple, as a tuple.
 
-    One of the package's two process-wide memos, both keyed by a factor
-    tuple alone and holding tuples only (this one and
-    ``_whole_group_basis``): every ``_basis`` search, a proper Im(1-t)'s
-    included, and every element profile reads a group's orders, which
-    depend on its factors alone. An entry holds a factor tuple and |G|
-    ints, no module and no t.
+    One of the package's two process-wide memos, both holding tuples
+    only (this one and ``_basis``): every ``_basis`` search and every
+    element profile reads a group's orders, which depend on its factors
+    alone. An entry holds a factor tuple and |G| ints, no module and no
+    t.
     """
     return tuple(element_orders(factors))
-
-
-@cache
-def _whole_group_basis(factors):
-    """``_basis`` of every element of the group over the factor tuple.
-
-    One of the package's two process-wide memos, both keyed by a factor
-    tuple alone and holding tuples only (this one and
-    ``_element_orders``): a whole group's basis depends on its factors
-    alone, and every direct sum step, and every Im(1-t) whose 1 - t is
-    onto, asks for one. An entry holds a factor tuple and |G| ints, no
-    module and no t.
-    """
-    return _basis(range(math.prod(factors)), factors)
 
 
 def _recoordinatize(members, factors, t_map):
@@ -303,25 +299,19 @@ def _recoordinatize(members, factors, t_map):
     adds. Returns (module, from_abstract) where module has invariant-factor
     coordinates and from_abstract[i] is the member with abstract index i.
 
-    The basis comes from one ``_basis`` search. A member set as large
-    as the group is the whole group, whose basis depends on the factors
-    alone, so it is taken from the memo ``_whole_group_basis`` and
-    searched once per factor tuple; a proper member set is searched on
-    every call, reading the group's element orders from the memo
-    ``_element_orders``, so they too are built once per factor tuple.
-    Either way from_abstract is an additive bijection onto a
-    t-invariant set. The transported t, i -> to_abstract[t(from_abstract[i])],
-    built on each call, is therefore additive and bijective, an
-    automorphism, and is wrapped by ``GroupAutomorphism._trusted``
-    without validation.
+    The basis comes from the memo ``_basis``, keyed by the factors and
+    the members: ``range(|G|)`` when the members are the whole group, a
+    sorted tuple otherwise. So each member set is searched once per
+    factor tuple, whole group or subgroup alike. Either way
+    from_abstract is an additive bijection onto a t-invariant set. The
+    transported t, i -> to_abstract[t(from_abstract[i])], built on each
+    call, is therefore additive and bijective, an automorphism, and is
+    wrapped by ``GroupAutomorphism._trusted`` without validation.
     """
-    if len(members) == len(t_map):
-        target, from_abstract = _whole_group_basis(factors)
-    else:
-        members = sorted(members)
-        if members[0] != 0:
-            raise RuntimeError("internal: identity element 0 missing from member set")
-        target, from_abstract = _basis(members, factors)
+    key = range(len(t_map)) if len(members) == len(t_map) else tuple(sorted(members))
+    if key[0] != 0:
+        raise RuntimeError("internal: identity element 0 missing from member set")
+    target, from_abstract = _basis(key, factors)
 
     to_abstract = dict(zip(from_abstract, range(len(from_abstract))))
     t_abstract = tuple(map(to_abstract.__getitem__, map(t_map.__getitem__, from_abstract)))
@@ -343,8 +333,8 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
     over m1's factors followed by m2's. That sequence need not be a
     divisibility chain, but ``_recoordinatize`` takes any factor
     sequence. Each partial sum is a whole group, so its basis is
-    searched once per factor sequence and memoised; only t is carried
-    over on each call.
+    searched once per factor sequence and memoised in ``_basis``; only t
+    is carried over on each call.
 
     >>> direct_sum(linear_module(2, 1), linear_module(3, 2), linear_module(2, 1)).group
     AbelianGroup(invariant_factors=(2, 6))
@@ -380,9 +370,9 @@ def image_one_minus_t(module: LambdaModule) -> Submodule:
 
     The members are the values of the module's ``one_minus_t_map``; the
     Submodule keeps them only as the image of its ``from_abstract``.
-    When 1 - t is onto, the members are the whole group, whose basis
-    ``_recoordinatize`` takes from its memo per factor tuple; a proper
-    image is searched on every call.
+    ``_recoordinatize`` takes their basis from the memo ``_basis``, so
+    a member set is searched once per factor tuple, whether 1 - t is
+    onto (the whole group) or not.
     (1-t)^2 M is the image of the abstract copy's own 1 - t, read back
     into M through this submodule's ``from_abstract``.
     """

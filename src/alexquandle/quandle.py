@@ -18,6 +18,7 @@ from operator import itemgetter
 from .abelian import addition_row
 from .lambda_module import (
     LambdaModule,
+    Submodule,
     image_one_minus_t,
     lambda_iso,
 )
@@ -124,7 +125,9 @@ def orbits(table: QuandleTable) -> list[list[int]]:
     The table must satisfy axiom (i): every right translation z -> z ^ y
     is a permutation. Its inverse is then one of its powers, so an orbit
     is the forward closure of its smallest element, grown by whole rows
-    (row z lists every z ^ y).
+    (row z lists every z ^ y). Orbits are disjoint, so growth stops once
+    the orbit holds every element no earlier orbit took: a connected
+    Alexander table reads one row, row 0 being Im(1-t), the whole module.
     """
     rows = table.rows
     seen: set[int] = set()
@@ -132,8 +135,9 @@ def orbits(table: QuandleTable) -> list[list[int]]:
     for x in range(table.order):
         if x in seen:
             continue
+        left = table.order - len(seen)
         orb, frontier = {x}, [x]
-        while frontier:
+        while frontier and len(orb) < left:
             new = set(rows[frontier.pop()]) - orb
             orb |= new
             frontier.extend(new)
@@ -368,9 +372,12 @@ def brute_iso(t1: QuandleTable, t2: QuandleTable):
     return None
 
 
-def _image_iso(m: LambdaModule, n: LambdaModule) -> dict[int, int] | None:
-    """The map ``lambda_iso`` finds from the members of Im(1-t) in m onto
-    those in n, or None: unequal orders, or non-isomorphic submodules.
+def _image_iso(
+    m: LambdaModule, n: LambdaModule
+) -> tuple[Submodule, Submodule, tuple[int, ...]] | None:
+    """(sub_m, sub_n, h) with h the map ``lambda_iso`` finds from the
+    abstract copy of Im(1-t) in m to that in n, or None: unequal orders,
+    or non-isomorphic submodules. No map between members is built.
 
     |ker(1-t)|, the number of zeros of ``one_minus_t_map``, is compared
     first: m and n have equal orders, so their kernels have equal orders
@@ -383,9 +390,7 @@ def _image_iso(m: LambdaModule, n: LambdaModule) -> dict[int, int] | None:
         return None
     sub_m, sub_n = image_one_minus_t(m), image_one_minus_t(n)
     h = lambda_iso(sub_m.as_module, sub_n.as_module)
-    if h is None:
-        return None
-    return dict(zip(sub_m.from_abstract, (sub_n.from_abstract[j] for j in h)))
+    return None if h is None else (sub_m, sub_n, h)
 
 
 def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
@@ -397,9 +402,10 @@ def theorem1_iso(m: LambdaModule, n: LambdaModule) -> bool:
     built; otherwise
     ``lambda_iso`` decides: the submodules' groups and certificates
     first, which settle every keyed pair, then a search over t-module
-    generators. The submodule map
-    it finds, which ``construct_quandle_iso`` builds its witness from,
-    need not be the first in any fixed order of all such maps.
+    generators. The verdict reads only whether that search finds a map;
+    the map between members, which ``construct_quandle_iso`` builds its
+    witness from, is built there alone, and need not be the first in any
+    fixed order of all such maps.
     """
     return _image_iso(m, n) is not None
 
@@ -481,7 +487,8 @@ def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness | None
     """A table bijection built from a submodule isomorphism, or None for a "no".
 
     h is the map ``lambda_iso`` finds from image_one_minus_t(m).as_module
-    to image_one_minus_t(n).as_module. Writing I = Im(1-t), the map f is
+    to image_one_minus_t(n).as_module, read here, and only here, as a map
+    between the members of the two images. Writing I = Im(1-t), the map f is
     built one coset alpha + I of M/I at a time. Elements are scanned in
     ascending order, and the first alpha with no image yet is the
     smallest element of its coset. It takes the first beta, ascending,
@@ -501,9 +508,11 @@ def construct_quandle_iso(m: LambdaModule, n: LambdaModule) -> IsoWitness | None
     |M/I| |I^2| / |I| elements, which is exactly the block's size; no
     other alpha takes a coset of that block.
     """
-    hmap = _image_iso(m, n)
-    if hmap is None:
+    found = _image_iso(m, n)
+    if found is None:
         return None
+    sub_m, sub_n, h = found
+    hmap = dict(zip(sub_m.from_abstract, map(sub_n.from_abstract.__getitem__, h)))
     um = m.one_minus_t_map
     preimages = [[] for _ in range(n.order)]
     for beta, z in enumerate(n.one_minus_t_map):

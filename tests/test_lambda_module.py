@@ -477,12 +477,30 @@ def test_recoordinatized_coordinates_are_pinned():
     assert digest == "ca84ea9bb7f169d6fabcc35c51bda1417fe2a18498cad4adb73c07e465c65d5c"
 
 
+def _recording_basis(monkeypatch):
+    """Route ``_recoordinatize``'s calls to the memo ``_basis`` through a
+    recorder, after emptying the memo: returns the memo itself and the
+    list that collects each call's key, (members, factors)."""
+    lambda_module._basis.cache_clear()
+    keys = []
+    basis = lambda_module._basis
+
+    def recording(members, factors):
+        keys.append((members, factors))
+        return basis(members, factors)
+
+    monkeypatch.setattr(lambda_module, "_basis", recording)
+    return basis, keys
+
+
 def test_recoordinatize_searches_once(monkeypatch):
-    """A recoordinatization runs at most one iter_embeddings search: a
-    proper member set, the trivial one too, runs exactly one, and whole
-    groups run one per distinct factor tuple, whose basis is memoised
-    after it; the basis is indexed and t transported without another."""
-    lambda_module._whole_group_basis.cache_clear()
+    """A recoordinatization runs at most one iter_embeddings search, the
+    one behind the memo ``_basis``: after the memo is emptied, each
+    distinct key (a member set and its factor tuple; range(|G|) for a
+    whole group, a sorted tuple for a proper one, the trivial one too)
+    runs exactly one search, and every repeat runs none; the basis is
+    indexed and t transported without another."""
+    basis, keys = _recording_basis(monkeypatch)
     searches = []
     iter_embeddings = lambda_module.iter_embeddings
 
@@ -496,8 +514,7 @@ def test_recoordinatize_searches_once(monkeypatch):
     def recording(members, factors, t_map):
         before = len(searches)
         out = recoordinatize(members, factors, t_map)
-        whole = len(members) == len(t_map)
-        per_call.append((len(members), whole, factors, len(searches) - before))
+        per_call.append((keys[-1], len(searches) - before))
         return out
 
     monkeypatch.setattr(lambda_module, "iter_embeddings", counting)
@@ -506,48 +523,49 @@ def test_recoordinatize_searches_once(monkeypatch):
         image_one_minus_t(image_one_minus_t(m).as_module)
     for m1, m2 in itertools.combinations_with_replacement(_direct_sum_atoms(), 2):
         direct_sum(m1, m2)
-    assert sum(size > 1 for size, *_ in per_call) > 300
-    assert any(size == 1 and not whole for size, whole, *_ in per_call)
-    assert all(count <= 1 for *_, count in per_call)
-    assert all(count == 1 for _, whole, _, count in per_call if not whole)
-    whole_calls = [(factors, count) for _, whole, factors, count in per_call if whole]
-    shapes = {factors for factors, _ in whole_calls}
-    assert sum(count for _, count in whole_calls) == len(shapes)
-    assert len(whole_calls) > 2 * len(shapes)  # the memo is hit
+    assert len(per_call) == len(keys) > 300
+    met = set()
+    for key, count in per_call:
+        assert count == (key not in met), key
+        met.add(key)
+    whole = [members for members, _ in keys if isinstance(members, range)]
+    proper = [members for members, _ in keys if not isinstance(members, range)]
+    assert (0,) in proper
+    # the memo is hit on whole groups and on proper subgroups alike
+    assert len(whole) > 2 * len(set(whole)) and len(proper) > len(set(proper))
+    assert basis.cache_info().currsize == len(met) == len(searches)
 
 
 def test_whole_group_bases_hold_no_t(monkeypatch):
-    """The memoised basis of every whole group met by direct sums of atom
-    pairs and triples and by the onto 1 - t of every structure of order
-    1..12 equals a fresh search, and two sums with one factor sequence
-    and different t each carry their own t: each is isomorphic, by a
-    witness checked with mixed-radix add, to the pair module built by
-    the validating constructor from its own t and to no other."""
-    lambda_module._whole_group_basis.cache_clear()
-    whole = []
-    recoordinatize = lambda_module._recoordinatize
+    """Every entry of the memo ``_basis`` met on the Im(1-t) and the
+    direct sums of every named module of order 1..24 equals a fresh
+    search and holds tuples (a range for a whole group) of ints only, no
+    module and no t; and two sums with one factor sequence and different
+    t each carry their own t: each is isomorphic, by a witness checked
+    with mixed-radix add, to the pair module built by the validating
+    constructor from its own t and to no other."""
+    basis, keys = _recording_basis(monkeypatch)
+    for n in range(1, 25):
+        for desc in candidate_descriptors(n):
+            image_one_minus_t(module_from_descriptor(desc))
+    met = set(keys)
+    assert basis.cache_info().currsize == len(met)
+    whole = {factors for members, factors in met if isinstance(members, range)}
+    proper = {factors for members, factors in met if not isinstance(members, range)}
+    assert {(2, 4), (2, 2, 4), (3, 3), (4, 6)} <= whole
+    assert {(2, 2), (4,), (2, 6)} <= proper
 
-    def recording(members, factors, t_map):
-        if len(members) == len(t_map):
-            whole.append(factors)
-        return recoordinatize(members, factors, t_map)
+    def ints_only(value):
+        if isinstance(value, int):
+            return True
+        return isinstance(value, (tuple, range)) and all(map(ints_only, value))
 
-    monkeypatch.setattr(lambda_module, "_recoordinatize", recording)
-    atoms = _direct_sum_atoms()
-    for k, bound in ((2, 72), (3, 64)):
-        for pieces in itertools.combinations_with_replacement(atoms, k):
-            if math.prod(m.order for m in pieces) <= bound:
-                direct_sum(*pieces)
-    from_sums = len(whole)
-    for n in range(1, 13):
-        for m in enumerate_structures(n):
-            image_one_minus_t(m)
-    shapes = set(whole)
-    assert {(2, 4), (2, 2, 4), (3, 3), (4, 8)} <= shapes
-    assert from_sums > 0 and len(whole) > from_sums  # both kinds of whole group
-    for factors in shapes:
-        fresh = lambda_module._basis(range(math.prod(factors)), factors)
-        assert lambda_module._whole_group_basis(factors) == fresh
+    for members, factors in met:
+        entry = basis(members, factors)
+        assert entry == basis.__wrapped__(members, factors)
+        assert isinstance(members, range) == (len(members) == math.prod(factors))
+        assert all(map(ints_only, (members, factors, *entry)))
+        assert type(factors) is tuple and all(type(v) is tuple for v in entry)
 
     specs = [("linear", 2, 1), ("linear", 4, 1)], [("linear", 2, 1), ("linear", 4, 3)]
     sums = [module_from_descriptor(("sum", tuple(pieces))) for pieces in specs]
