@@ -11,9 +11,52 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, product
+
+
+class _Fields:
+    """Base of the package's record classes, which are written out by hand
+    so that importing the package builds no methods at run time.
+
+    A subclass names its fields in ``_fields``, in constructor order, and
+    sets them in ``__init__``. Its repr is ``Name(field=value, ...)`` over
+    those fields; equality is identity.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Fields):
+    """A record whose fields are set once: equal to a record of the same
+    class with equal fields, and hashed by them. Assigning or deleting an
+    attribute raises AttributeError, so ``__init__`` sets its fields
+    through ``object.__setattr__``. Attributes outside ``_fields``, such as
+    a memo or a cached property, take no part in equality or hashing.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -115,8 +158,7 @@ def invariant_factors_from_element_orders(orders) -> tuple[int, ...]:
     return _merge_primary(prime_exponents)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(_Value):
     """A finite abelian group given by its invariant factors.
 
     The empty factor sequence is the trivial group of order 1.
@@ -130,28 +172,24 @@ class AbelianGroup:
     2
     """
 
-    invariant_factors: tuple[int, ...]
+    _fields = ("invariant_factors",)
 
-    def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", facs)
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        facs = tuple(int(d) for d in invariant_factors)
         for d in facs:
             if d < 2:
                 raise ValueError(f"invariant factor {d} must be >= 2")
         for a, b in zip(facs, facs[1:]):
             if b % a:
                 raise ValueError(f"{facs} is not a divisibility chain")
-
-    @cached_property
-    def order(self) -> int:
-        return math.prod(self.invariant_factors)
-
-    @cached_property
-    def _prefix(self) -> tuple[int, ...]:
-        out = [1]
-        for d in self.invariant_factors:
-            out.append(out[-1] * d)
-        return tuple(out)
+        # _prefix[i] is the index of the i-th standard generator, and its
+        # last entry the order
+        prefix = [1]
+        for d in facs:
+            prefix.append(prefix[-1] * d)
+        object.__setattr__(self, "invariant_factors", facs)
+        object.__setattr__(self, "order", prefix[-1])
+        object.__setattr__(self, "_prefix", tuple(prefix))
 
     def generator_indices(self) -> tuple[int, ...]:
         """Indices of the standard generators e_1, ..., e_k."""
@@ -369,8 +407,7 @@ def iter_embeddings(factors, candidates, translate):
     yield from rec(0, 1)
 
 
-@dataclass(frozen=True)
-class GroupAutomorphism:
+class GroupAutomorphism(_Value):
     """An automorphism, stored by its images of the standard generators.
 
     The public constructor validates: it checks that there is one image
@@ -392,20 +429,19 @@ class GroupAutomorphism:
     bijective (see ``lambda_module._recoordinatize``).
     """
 
-    group: AbelianGroup
-    generator_images: tuple[int, ...]
-    element_map: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # element_map is no field: equality, hashing and the repr ignore it
+    _fields = ("group", "generator_images")
 
-    def __post_init__(self):
-        g = self.group
-        images = tuple(int(y) for y in self.generator_images)
-        object.__setattr__(self, "generator_images", images)
-        facs = g.invariant_factors
+    def __init__(self, group: AbelianGroup, generator_images: tuple[int, ...]):
+        images = tuple(int(y) for y in generator_images)
+        facs = group.invariant_factors
         if len(images) != len(facs):
             raise ValueError("need one generator image per invariant factor")
         element_map = homomorphism_map(facs, images)
-        if len(set(element_map)) != g.order:
+        if len(set(element_map)) != group.order:
             raise ValueError("induced endomorphism is not a bijection")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "generator_images", images)
         object.__setattr__(self, "element_map", element_map)
 
     @classmethod

@@ -27,10 +27,11 @@ smallest raw (group, automorphism) descriptor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 from .abelian import (
+    _Fields,
+    _Value,
     abelian_groups_of_order,
     automorphism_classes,
     enumerate_automorphisms,
@@ -53,20 +54,29 @@ from .lambda_module import (
     sum_descriptor,
 )
 
-@dataclass(frozen=True)
-class QuandleClass:
+
+class QuandleClass(_Value):
     """One isomorphism class: named representative, connectivity, and the
     number of (group, automorphism) pairs realizing it."""
 
-    representative: tuple
-    connected: bool
-    class_size_in_enumeration: int
+    _fields = ("representative", "connected", "class_size_in_enumeration")
+
+    def __init__(
+        self, representative: tuple, connected: bool, class_size_in_enumeration: int
+    ):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "class_size_in_enumeration", class_size_in_enumeration)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    order: int
-    classes: tuple[QuandleClass, ...]
+class ClassificationReport(_Value):
+    """The classes of one order, in report order."""
+
+    _fields = ("order", "classes")
+
+    def __init__(self, order: int, classes: tuple[QuandleClass, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def distinct_count(self) -> int:
@@ -92,16 +102,20 @@ class ClassificationReport:
         }
 
 
-@dataclass(eq=False)
-class _Class:
+class _Class(_Fields):
     """A class of one prime-power part: its Im(1-t) module, and the
     smallest descriptor placed in it, a member's pair descriptor until a
     named candidate replaces it."""
 
-    image: LambdaModule
-    representative: tuple
-    connected: bool
-    weight: int = 0
+    _fields = ("image", "representative", "connected", "weight")
+
+    def __init__(
+        self, image: LambdaModule, representative: tuple, connected: bool, weight: int = 0
+    ):
+        self.image = image
+        self.representative = representative
+        self.connected = connected
+        self.weight = weight
 
 
 def enumerate_structures(n: int) -> list[LambdaModule]:
@@ -225,12 +239,25 @@ def table1_report() -> list[tuple[tuple[int, ...], tuple, tuple]]:
 
 
 def predicted_counts(n: int):
-    """Closed-form (distinct, connected) predictions, None when unknown.
+    """Closed-form (distinct, connected) counts, None when no form is known.
 
-    Primes p give (p - 1, p - 2); prime squares give a connected count of
-    2p^2 - 3p - 1 with no distinct-count formula. Returns None for p^e
-    with e >= 3 and for orders with two or more prime factors, and None in
-    a slot with no formula.
+    Primes p give (p - 1, p - 2) and prime squares (2p^2 - 2p - 1,
+    2p^2 - 3p - 1). Returns None for p^e with e >= 3 and for orders with
+    two or more prime factors.
+
+    The distinct count of p^2: by Theorem 1 it counts the module classes
+    I = (1-t)M over the modules M of order p^2. Since t acts as 1 on M/I,
+    m -> (1-t)m maps M/I onto I/(1-t)I, so |I/(1-t)I| <= p^2/|I|. That
+    leaves three cases:
+
+    - I = 0: one class.
+    - I = Z_p with t = a: p - 2 classes with a != 1, and one more with
+      t = 1, realized by M = Z_{p^2} with t = 1 + p.
+    - |I| = p^2, so 1 - t is onto I = M: p^2 - 2p classes on Z_{p^2}
+      (t = a with a and 1 - a units), plus the p^2 - p - 1 classes of
+      GL_2(p) with no eigenvalue 1.
+
+    They sum to 2p^2 - 2p - 1; the last case alone is the connected count.
     """
     if n < 2:
         raise ValueError(f"no prediction for order {n}")
@@ -241,7 +268,7 @@ def predicted_counts(n: int):
     if e == 1:
         return (p - 1, p - 2)
     if e == 2:
-        return (None, 2 * p * p - 3 * p - 1)
+        return (2 * p * p - 2 * p - 1, 2 * p * p - 3 * p - 1)
     return None
 
 

@@ -16,6 +16,9 @@ Each report command (orbits, im1t, classify, table1, table2) builds one
 record and _print_report prints it in the --format asked for: JSON, CSV
 rows or text lines.
 
+A command imports the table layer (``quandle``), ``linear``, ``json`` and
+``csv`` only when it uses them, so ``classify`` loads none of them.
+
 Exit codes: 0 predicate true / success, 1 predicate false or axiom failure,
 2 malformed spec or usage, 3 invalid input values, 4 internal error,
 including disagreement between deciders, 141 (128 + SIGPIPE) when the
@@ -25,36 +28,19 @@ reader closes stdout early, as ``| head`` does.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import os
 import sys
 
 from .classify import classify_order, count_table, table1_report
 from .lambda_module import (
     LambdaModule,
+    _decimal,
     descriptor_from_json_dict,
     descriptor_str,
     identify_as_quotient,
     image_one_minus_t,
     module_from_descriptor,
-)
-from .linear import linear_connected, linear_dual, linear_iso, linear_self_dual, n_cap
-from .quandle import (
-    QuandleTable,
-    _decimal,
-    alexander_table,
-    brute_iso,
-    check_axioms,
-    construct_quandle_iso,
-    dual,
-    orbits,
-    table_from_json_dict,
-    table_from_text,
-    table_to_json_dict,
-    table_to_text,
-    theorem1_iso,
 )
 
 DEFAULT_MAX_ORDER = 15  # the size guard when QUANDLE_MAX_ORDER is unset
@@ -105,6 +91,8 @@ def _read_file(path: str) -> str:
 
 
 def _load_json(raw: str, path: str):
+    import json
+
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -173,13 +161,19 @@ def parse_spec(text: str):
     body = text[6:]
     if not body.startswith("@"):
         raise SpecParseError("table spec takes a file: table:@file", 6)
+    from .quandle import table_from_json_dict, table_from_text
+
     raw = _read_file(body[1:])
     if raw.lstrip().startswith("{"):
         return table_from_json_dict(_load_json(raw, body[1:]))
     return table_from_text(raw)
 
 
-def _as_table(thing) -> QuandleTable:
+def _as_table(thing):
+    """The table of a parsed spec: a raw table once it passes the quandle
+    axioms, or a module's Cayley table."""
+    from .quandle import QuandleTable, alexander_table, check_axioms
+
     if isinstance(thing, QuandleTable):
         bad = check_axioms(thing)
         if bad is not None:
@@ -191,10 +185,14 @@ def _as_table(thing) -> QuandleTable:
     return alexander_table(thing)
 
 
-def _emit_table(table: QuandleTable, args) -> None:
+def _emit_table(table, args) -> None:
+    from .quandle import table_to_json_dict, table_to_text
+
     if args.format == "text":
         out = table_to_text(table) + "\n"
     else:
+        import json
+
         out = json.dumps(table_to_json_dict(table)) + "\n"
     if args.output:
         try:
@@ -222,6 +220,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .quandle import QuandleTable, alexander_table, check_axioms
+
     thing = parse_spec(args.spec)
     table = thing if isinstance(thing, QuandleTable) else alexander_table(thing)
     bad = check_axioms(table)
@@ -234,6 +234,8 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .quandle import brute_iso, construct_quandle_iso, theorem1_iso
+
     left, right = parse_spec(args.left), parse_spec(args.right)
     modules = isinstance(left, LambdaModule) and isinstance(right, LambdaModule)
     if args.method in ("theorem1", "both") and not modules:
@@ -264,6 +266,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from .quandle import dual
+
     table = _as_table(parse_spec(args.spec))
     d = dual(table)
     if dual(d).rows != table.rows:
@@ -277,8 +281,12 @@ def _print_report(args, data, text, rows=()) -> None:
     """Print one report in args.format: data as JSON, rows as CSV, or the
     text lines."""
     if args.format == "json":
+        import json
+
         print(json.dumps(data))
     elif args.format == "csv":
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         for line in text:
@@ -286,6 +294,8 @@ def _print_report(args, data, text, rows=()) -> None:
 
 
 def _cmd_orbits(args) -> int:
+    from .quandle import orbits
+
     orbs = orbits(_as_table(parse_spec(args.spec)))
     connected = len(orbs) == 1
     text = [" ".join(map(str, orb)) for orb in orbs]
@@ -319,19 +329,21 @@ def _cmd_im1t(args) -> int:
     return 0
 
 
-# each linear subcommand's function and the positionals it takes
+# each linear subcommand's function in ``linear`` and the positionals it takes
 _LINEAR = {
-    "iso": (linear_iso, ("n", "a", "b")),
-    "connected": (linear_connected, ("n", "a")),
-    "dual": (linear_dual, ("n", "a", "b")),
-    "selfdual": (linear_self_dual, ("n", "a")),
-    "ncap": (n_cap, ("n", "a")),
+    "iso": ("linear_iso", ("n", "a", "b")),
+    "connected": ("linear_connected", ("n", "a")),
+    "dual": ("linear_dual", ("n", "a", "b")),
+    "selfdual": ("linear_self_dual", ("n", "a")),
+    "ncap": ("n_cap", ("n", "a")),
 }
 
 
 def _cmd_linear(args) -> int:
-    function, params = _LINEAR[args.linear_cmd]
-    value = function(*(getattr(args, name) for name in params))
+    from . import linear
+
+    name, params = _LINEAR[args.linear_cmd]
+    value = getattr(linear, name)(*(getattr(args, param) for param in params))
     if args.linear_cmd == "ncap":
         print(value)
         return 0

@@ -21,13 +21,15 @@ The empty sum ("sum", ()) names the trivial module and prints as "0".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from functools import cache, cached_property, partial
 from itertools import chain, combinations_with_replacement, product
 
 from .abelian import (
     AbelianGroup,
     GroupAutomorphism,
+    _Fields,
+    _Value,
     _poly_mul,
     addition_row,
     element_orders,
@@ -112,8 +114,7 @@ def primary_part(desc, p: int) -> tuple:
     return ("poly", q, Polynomial(q, desc[2]).coeffs)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Value):
     """A monic polynomial over Z_n with unit constant term, ascending coeffs.
 
     coeffs[i] is the coefficient of t^i; the last entry must reduce to 1.
@@ -122,14 +123,14 @@ class Polynomial:
     (5, 1)
     """
 
-    modulus: int
-    coeffs: tuple[int, ...]
+    _fields = ("modulus", "coeffs")
 
-    def __post_init__(self):
-        n = self.modulus
+    def __init__(self, modulus: int, coeffs: tuple[int, ...]):
+        n = modulus
         if n < 2:
             raise ValueError(f"modulus {n} must be >= 2")
-        cs = tuple(int(c) % n for c in self.coeffs)
+        cs = tuple(int(c) % n for c in coeffs)
+        object.__setattr__(self, "modulus", n)
         object.__setattr__(self, "coeffs", cs)
         if len(cs) < 2:
             raise ValueError("polynomial must have degree >= 1")
@@ -145,8 +146,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class LambdaModule:
+class LambdaModule(_Value):
     """A finite abelian group with a distinguished automorphism t, held as
     t alone: the group is the one t acts on.
 
@@ -154,7 +154,10 @@ class LambdaModule:
     once: ``t_action.element_map`` and ``one_minus_t_map``.
     """
 
-    t_action: GroupAutomorphism
+    _fields = ("t_action",)
+
+    def __init__(self, t_action: GroupAutomorphism):
+        object.__setattr__(self, "t_action", t_action)
 
     @property
     def group(self) -> AbelianGroup:
@@ -352,8 +355,7 @@ def direct_sum(*modules: LambdaModule) -> LambdaModule:
     return out
 
 
-@dataclass(eq=False)
-class Submodule:
+class Submodule(_Fields):
     """Im(1-t) inside a parent module, with its abstract normal form.
 
     from_abstract[i] is the parent element with index i in as_module. It
@@ -361,8 +363,11 @@ class Submodule:
     with t, so the members are ``sorted(from_abstract)``.
     """
 
-    as_module: LambdaModule
-    from_abstract: tuple[int, ...]
+    _fields = ("as_module", "from_abstract")
+
+    def __init__(self, as_module: LambdaModule, from_abstract: tuple[int, ...]):
+        self.as_module = as_module
+        self.from_abstract = from_abstract
 
 
 def image_one_minus_t(module: LambdaModule) -> Submodule:
@@ -834,6 +839,19 @@ def module_from_descriptor(desc) -> LambdaModule:
     group = AbelianGroup(tuple(desc[1]))
     images = tuple(group.index_of(c) for c in desc[2])
     return LambdaModule(GroupAutomorphism(group, images))
+
+
+def _decimal(token: str) -> int:
+    """The integer that token spells in ASCII decimal, -?[0-9]+.
+
+    int() also takes underscores, a + sign, surrounding whitespace and
+    non-ASCII digits, none of which a table or spec prints; those raise
+    ValueError here. The CLI reads every integer of its arguments and
+    specs with it, and table text files too.
+    """
+    if re.fullmatch("-?[0-9]+", token) is None:
+        raise ValueError(f"expected an integer, got {token!r}")
+    return int(token)
 
 
 def descriptor_from_json_dict(data) -> tuple:

@@ -10,22 +10,20 @@ table bijection.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .abelian import addition_row
+from .abelian import _Value, addition_row
 from .lambda_module import (
     LambdaModule,
     Submodule,
+    _decimal,
     image_one_minus_t,
     lambda_iso,
 )
 
 
-@dataclass(frozen=True)
-class QuandleTable:
+class QuandleTable(_Value):
     """A square operation table; rows[x][y] is x ^ y.
 
     Entry ranges are deliberately not validated here so that check_axioms
@@ -33,10 +31,10 @@ class QuandleTable:
     outright.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(map(tuple, rows))
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("empty table")
@@ -48,11 +46,13 @@ class QuandleTable:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(_Value):
     """A bijection witnessing a quandle isomorphism: map[x] is the image of x."""
 
-    map: tuple[int, ...]
+    _fields = ("map",)
+
+    def __init__(self, map: tuple[int, ...]):
+        object.__setattr__(self, "map", map)
 
 
 def alexander_table(module: LambdaModule) -> QuandleTable:
@@ -556,18 +556,6 @@ def table_from_json_dict(data) -> QuandleTable:
 
 def table_to_text(table: QuandleTable) -> str:
     return "\n".join(" ".join(str(v) for v in row) for row in table.rows)
-
-
-def _decimal(token: str) -> int:
-    """The integer that token spells in ASCII decimal, -?[0-9]+.
-
-    int() also takes underscores, a + sign, surrounding whitespace and
-    non-ASCII digits, none of which a table or spec prints; those raise
-    ValueError here.
-    """
-    if re.fullmatch("-?[0-9]+", token) is None:
-        raise ValueError(f"expected an integer, got {token!r}")
-    return int(token)
 
 
 def table_from_text(text: str) -> QuandleTable:

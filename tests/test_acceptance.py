@@ -163,7 +163,7 @@ def test_criterion_5_closed_forms():
     for p in (2, 3):
         expected_connected = 2 * p * p - 3 * p - 1
         assert computed[p * p][1] == expected_connected
-        assert predicted_counts(p * p) == (None, expected_connected)
+        assert predicted_counts(p * p) == (2 * p * p - 2 * p - 1, expected_connected)
     report = classify_order(25)
     assert report.connected_count == 2 * 25 - 3 * 5 - 1 == 34
     print("PASS criterion 5: closed-form counts match classification, incl. order 25")

@@ -186,8 +186,11 @@ def test_identification_of_non_cyclic_orders_up_to_9():
 def test_predicted_counts():
     assert predicted_counts(2) == (1, 0)
     assert predicted_counts(7) == (6, 5)
-    assert predicted_counts(4) == (None, 1)
-    assert predicted_counts(9) == (None, 8)
+    assert predicted_counts(4) == (3, 1)
+    assert predicted_counts(9) == (11, 8)
+    for p in (2, 3, 5, 7):
+        report = classify_order(p * p)
+        assert predicted_counts(p * p) == (report.distinct_count, report.connected_count), p
     assert predicted_counts(6) is None
     assert predicted_counts(12) is None
     assert predicted_counts(15) is None

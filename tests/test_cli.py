@@ -331,7 +331,7 @@ def test_iso_brute_accepts_tables(capsys, tmp_path):
 
 
 def test_iso_decider_disagreement_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "brute_iso", lambda a, b: None)
+    monkeypatch.setattr(quandle, "brute_iso", lambda a, b: None)
     code, out, err = run(
         capsys, ["iso", "linear:9:4", "linear:9:7", "--method", "both"]
     )
@@ -343,7 +343,7 @@ def test_internal_failure_exits_4_not_1(capsys, monkeypatch):
     def deep(a, b):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "brute_iso", deep)
+    monkeypatch.setattr(quandle, "brute_iso", deep)
     code, out, err = run(
         capsys, ["iso", "linear:9:4", "linear:9:7", "--method", "brute"]
     )
@@ -360,7 +360,7 @@ def test_dual_output_and_involution_check(capsys, monkeypatch):
     # t inverts: dual of multiplication by 2 is multiplication by 3 mod 5
     assert QuandleTable(dual_rows) == alexander_table(linear_module(5, 3))
 
-    monkeypatch.setattr(cli, "dual", lambda t: alexander_table(linear_module(5, 2)))
+    monkeypatch.setattr(quandle, "dual", lambda t: alexander_table(linear_module(5, 2)))
     code, _, err = run(capsys, ["dual", "linear:5:3"])
     assert code == 4
     assert "involution" in err
