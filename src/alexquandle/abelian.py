@@ -353,12 +353,10 @@ def iter_embeddings(factors, candidates, translate):
     the first level of a largest-factor-first search, each element
     phi(h) of H starts a run phi(h), phi(h) + y, ... that is walked along
     the row and written with stride span, since d - 1 passes over blocks
-    that short would cost more in per-pass overhead than in lookups; the
-    run of phi(0) = 0 is the walk of the multiples the check made, so it
-    is kept from there and not walked again. Otherwise block c of the
-    new span is block c-1 mapped through the row. ``homomorphism_map``
-    fills the same way in code of its own, so the validating constructor
-    shares nothing with this search.
+    that short would cost more in per-pass overhead than in lookups.
+    Otherwise block c of the new span is block c-1 mapped through the
+    row. ``homomorphism_map`` fills the same way in code of its own, so
+    the validating constructor shares nothing with this search.
     """
     last = len(factors) - 1
     if last < 0:
@@ -375,18 +373,14 @@ def iter_embeddings(factors, candidates, translate):
             if y in inside:
                 continue
             row = translate(y)
-            run = [0, y]  # c*y for c = 0..d-1, the run of phi(0) = 0
             cy = y
             for _ in range(2, d):
                 cy = row[cy]
                 if cy in inside:
                     break
-                run.append(cy)
             else:
                 if span <= d:
-                    emap[0:span * d:span] = run
-                    for h in range(1, span):
-                        x = head[h]
+                    for h, x in enumerate(head):
                         run = [x]
                         for _ in range(1, d):
                             x = row[x]

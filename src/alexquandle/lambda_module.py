@@ -188,10 +188,10 @@ class LambdaModule(_Value):
 
     @cached_property
     def _memo(self) -> dict:
-        """Im(1-t), the certificate (keyed or not, one slot), element
-        orders and t-orbit lengths, and on an Im(1-t) module the pool its
-        t-module generators are drawn from, kept as long as the module (the
-        1 - t map is memoised beside it, as ``one_minus_t_map``)."""
+        """Im(1-t), the certificate (keyed or not, one slot), and on an
+        Im(1-t) module the pool its t-module generators are drawn from,
+        kept as long as the module (the 1 - t map is memoised beside it,
+        as ``one_minus_t_map``)."""
         return {}
 
 
@@ -226,15 +226,15 @@ def _basis(members, factors):
     from_abstract[i] the member with abstract index i. It reads only the
     members and the factors, never t.
 
-    One of the package's two process-wide memos, both holding tuples
-    only (this one and ``_element_orders``): a member set's basis depends
-    on the factor tuple and the member set alone, so each is searched
-    once. The key is the factor tuple and the members, ``range(|G|)``
-    for a whole group (every direct sum step, and every Im(1-t) whose
-    1 - t is onto) and a sorted tuple for a proper subgroup; an Im(1-t)
-    member set recurs whenever an isomorphic or relabelled module meets
-    it again. An entry holds the key, the target and one int per member,
-    no module and no t.
+    The package's one process-wide memo, holding tuples only: a member
+    set's basis depends on the factor tuple and the member set alone, so
+    each is searched once, and the group's element orders are computed
+    only on a miss. The key is the factor tuple and the members,
+    ``range(|G|)`` for a whole group (every direct sum step, and every
+    Im(1-t) whose 1 - t is onto) and a sorted tuple for a proper
+    subgroup; an Im(1-t) member set recurs whenever an isomorphic or
+    relabelled module meets it again. An entry holds the key, the target
+    and one int per member, no module and no t.
 
     One pass puts each member into a list by its order, ascending. The
     list sizes are the order statistics that give the target, and for a
@@ -250,7 +250,7 @@ def _basis(members, factors):
     """
     not_closed = "internal: member set is not closed under the given addition"
     # a member's order in the subgroup is its order in the whole group
-    orders = _element_orders(factors)
+    orders = element_orders(factors)
     by_order: dict[int, list[int]] = {}
     for x in members:
         by_order.setdefault(orders[x], []).append(x)
@@ -273,19 +273,6 @@ def _basis(members, factors):
         weight //= d
         perm = [p + c * weight for c in range(d) for p in perm]
     return target, tuple(map(found[1].__getitem__, perm))
-
-
-@cache
-def _element_orders(factors):
-    """``element_orders`` of the factor tuple, as a tuple.
-
-    One of the package's two process-wide memos, both holding tuples
-    only (this one and ``_basis``): every ``_basis`` search and every
-    element profile reads a group's orders, which depend on its factors
-    alone. An entry holds a factor tuple and |G| ints, no module and no
-    t.
-    """
-    return tuple(element_orders(factors))
 
 
 def _recoordinatize(members, factors, t_map):
@@ -414,15 +401,6 @@ def _orbit_lengths(perm) -> list[int]:
         for y in cycle:
             out[y] = len(cycle)
     return out
-
-
-def _element_profile(module: LambdaModule) -> tuple[tuple[int, ...], list[int]]:
-    """The additive order and the t-orbit length of every element."""
-    memo = module._memo
-    if "profile" not in memo:
-        orders = _element_orders(module.group.invariant_factors)
-        memo["profile"] = (orders, _orbit_lengths(module.t_action.element_map))
-    return memo["profile"]
 
 
 def _rank(rows, p: int) -> int:
@@ -611,8 +589,9 @@ def module_certificate(module: LambdaModule) -> tuple:
             u = module.one_minus_t_map
             im1 = set(u)
             im2 = set(map(u.__getitem__, im1))
-            orders, orbits = _element_profile(module)
+            orders = element_orders(facs)
             im1_factors = invariant_factors_from_element_orders([orders[x] for x in im1])
+            orbits = _orbit_lengths(module.t_action.element_map)
             memo["certificate"] = (
                 "invariants", facs, im1_factors, len(im2), tuple(sorted(orbits))
             )
@@ -672,8 +651,9 @@ def _t_generator_search(m: LambdaModule, n: LambdaModule):
     size = m.order
     addm, addn = m.group.add, n.group.add
     tm, tn = m.t_action.element_map, n.t_action.element_map
-    orders_m, orbits_m = _element_profile(m)
-    orders_n, orbits_n = _element_profile(n)
+    orders_m = element_orders(m.group.invariant_factors)
+    orders_n = element_orders(n.group.invariant_factors)
+    orbits_m, orbits_n = _orbit_lengths(tm), _orbit_lengths(tn)
     pool = m._memo.get("generator_pool", range(1, size))
     pool = sorted(pool, key=lambda x: (-orders_m[x], -orbits_m[x], x))
     cand = {(orders_m[x], orbits_m[x]): [] for x in pool}

@@ -184,31 +184,26 @@ def _element_profiles(table: QuandleTable, orbs: list[list[int]]):
     orbs are the table's orbits. Every right translation is an
     automorphism (axiom ii), so the profile is constant on each orbit; it
     is read once, at the orbit's smallest element, and copied to the
-    rest. Orbits whose smallest elements have the same column (the same
-    right translation) share one cycle walk.
+    rest.
     """
     rows = table.rows
     n = table.order
     profiles: list = [None] * n
-    cycle_types: dict[tuple[int, ...], tuple[int, ...]] = {}
     for orb in orbs:
         e = orb[0]
-        col = tuple([row[e] for row in rows])  # the right translation by e
-        lengths = cycle_types.get(col)
-        if lengths is None:
-            seen = [False] * n
-            walk = []
-            for start in range(n):
-                if seen[start]:
-                    continue
-                ln, x = 0, start
-                while not seen[x]:
-                    seen[x] = True
-                    ln += 1
-                    x = col[x]
-                walk.append(ln)
-            lengths = cycle_types[col] = tuple(sorted(walk))
-        profile = (len(orb), rows[e].count(e), lengths)
+        col = [row[e] for row in rows]  # the right translation by e
+        seen = [False] * n
+        walk = []
+        for start in range(n):
+            if seen[start]:
+                continue
+            ln, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                ln += 1
+                x = col[x]
+            walk.append(ln)
+        profile = (len(orb), rows[e].count(e), tuple(sorted(walk)))
         for x in orb:
             profiles[x] = profile
     return profiles
@@ -226,29 +221,22 @@ def _orbit_colours(*tables) -> list[list[int]]:
     """For each (table, orbits) given, the colour of every element: the
     isomorphism type of its orbit's subquandle, shared by all the tables.
 
-    Types are numbered in order of first appearance, and a new orbit is
+    Types are numbered in order of first appearance, and each orbit is
     compared with one orbit of each type by ``brute_iso`` on the smaller
-    tables; equal orbit tables are compared once. The quandles of orders
-    1 and 2 are trivial, so orbits that small are coloured by size alone.
+    tables, which answers equal tables (among them every pair of
+    quandles of order 1 or 2) at once.
     """
     types: list[QuandleTable] = []
-    known: dict[tuple, int] = {}
     out = []
     for table, orbs in tables:
         colours = [0] * table.order
         for orb in orbs:
-            c = -len(orb)
-            if len(orb) > 2:
-                sub = _subquandle(table, orb)
-                c = known.get(sub.rows)
-                if c is None:
-                    c = next(
-                        (i for i, t in enumerate(types) if brute_iso(t, sub) is not None),
-                        len(types),
-                    )
-                    if c == len(types):
-                        types.append(sub)
-                    known[sub.rows] = c
+            sub = _subquandle(table, orb)
+            c = next(
+                (i for i, t in enumerate(types) if brute_iso(t, sub) is not None), len(types)
+            )
+            if c == len(types):
+                types.append(sub)
             for x in orb:
                 colours[x] = c
         out.append(colours)

@@ -13,6 +13,7 @@ import pytest
 from alexquandle.abelian import (
     AbelianGroup,
     abelian_groups_of_order,
+    automorphism_classes,
     enumerate_automorphisms,
     factorize,
 )
@@ -38,7 +39,7 @@ from alexquandle.lambda_module import (
     module_from_polynomial,
     named_candidates,
 )
-from alexquandle.quandle import alexander_table, orbits, theorem1_iso
+from alexquandle.quandle import alexander_table, brute_iso, orbits, theorem1_iso
 
 TABLE2 = [
     (2, 1, 0),
@@ -397,3 +398,29 @@ def test_composite_counts_are_products_of_prime_power_counts():
     report = classify_order(144)
     assert report.distinct_count == counts[9].distinct_count * counts[16].distinct_count
     assert report.connected_count == counts[9].connected_count * counts[16].connected_count
+
+
+def test_classify_agrees_with_the_table_search_at_every_order_up_to_63():
+    # one module per conjugacy class of each Aut(G), partitioned by
+    # brute_iso alone; theorem1_iso must agree with every comparison made,
+    # and the partition must give classify's counts and class sizes
+    for n in range(2, 64):
+        classes = []  # [module, table, connected, weight]
+        for group in abelian_groups_of_order(n):
+            for aut, size in automorphism_classes(group):
+                module = LambdaModule(aut)
+                table = alexander_table(module)
+                for cls in classes:
+                    same = brute_iso(cls[1], table) is not None
+                    assert theorem1_iso(cls[0], module) == same, (n, aut)
+                    if same:
+                        cls[3] += size
+                        break
+                else:
+                    classes.append([module, table, len(orbits(table)) == 1, size])
+        report = classify_order(n)
+        assert len(classes) == report.distinct_count, n
+        assert sum(cls[2] for cls in classes) == report.connected_count, n
+        assert sorted(cls[3] for cls in classes) == sorted(
+            c.class_size_in_enumeration for c in report.classes
+        ), n

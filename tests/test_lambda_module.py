@@ -726,7 +726,7 @@ def test_isomorphism_key_decides_random_pairs(order, pairs):
     # with the same t-orbit lengths (every image here is keyed, so an equal
     # certificate would already mean isomorphic)
     def look(s):
-        return s.group, tuple(sorted(lambda_module._element_profile(s)[1]))
+        return s.group, tuple(sorted(lambda_module._orbit_lengths(s.t_action.element_map)))
 
     rng = random.Random(order)
     structures = class_structures(order)

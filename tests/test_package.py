@@ -6,9 +6,11 @@ loads only the layers its command uses.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -92,3 +94,16 @@ def test_star_import_binds_each_name_to_its_submodule_object():
     )
     new = _modules_after(script)
     assert "dataclasses" not in new
+
+
+def test_the_only_process_wide_caches_are_the_basis_memo_and_the_parser():
+    # every other memo lives on a module object, as long as the module
+    caches = set()
+    for info in pkgutil.iter_modules(alexquandle.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"alexquandle.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, functools._lru_cache_wrapper):
+                caches.add(f"{value.__module__}.{value.__qualname__}")
+    assert caches == {"alexquandle.lambda_module._basis", "alexquandle.cli._build_parser"}
